@@ -65,8 +65,11 @@ def _csv_lines(rows) -> str:
 
 def _emit(text: str, args) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"--out: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -183,7 +186,7 @@ def _cmd_distance(args) -> int:
 def _cmd_iterate(args) -> int:
     m = _parse_map(args.map, "--map")
     start = _parse_state(args.start, "--start")
-    if args.tol <= 0:
+    if not (args.tol > 0):
         raise CliError("--tol: tolerance must be positive")
     if args.max_iter < 1:
         raise CliError("--max-iter: must be at least 1")
@@ -289,7 +292,7 @@ def _cmd_compare(args) -> int:
     start = _parse_state(args.start, "--start")
     probe = (_parse_state(args.probe_a, "--probe-a"),
              _parse_state(args.probe_b, "--probe-b"))
-    if args.tol <= 0:
+    if not (args.tol > 0):
         raise CliError("--tol: tolerance must be positive")
 
     report = build_feature_report(m, start, probe, args.tol, args.max_iter,

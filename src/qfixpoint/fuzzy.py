@@ -37,6 +37,7 @@ __all__ = [
 AUDIT_SLACK = 1e-12
 
 T_RANGE = (1e-3, 1e3)
+LOG_T_RANGE = (math.log10(T_RANGE[0]), math.log10(T_RANGE[1]))
 
 
 class TNormKind(str, Enum):
@@ -143,16 +144,39 @@ class FuzzyMetric:
     tnorm: TNormKind = TNormKind.PRODUCT
 
 
-def fuzzy_membership(fm: FuzzyMetric, x, y, t: float) -> float:
-    """Membership grade M(x, y, t) = t / (t + d(x, y)), with M(., ., 0) = 0."""
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return 0.0
-    d = fm.base_distance(x, y)
-    if d < 0.0:
+def _grade(t, d):
+    """The membership formula t / (t + d), taken as 0 where t = 0.
+
+    ``t`` and ``d`` broadcast, so one call grades a whole sweep of t values.
+    """
+    t = np.asarray(t, dtype=float)
+    with np.errstate(invalid="ignore"):
+        return np.where(t == 0.0, 0.0, t / (t + d))
+
+
+def _distances(fm: FuzzyMetric, pairs) -> np.ndarray:
+    """One ``fm.base_distance`` call per (x, y) pair, checked nonnegative."""
+    d = np.array([fm.base_distance(x, y) for x, y in pairs], dtype=float)
+    if (d < 0.0).any():
         raise ValueError("base_distance returned a negative value")
-    return t / (t + d)
+    return d
+
+
+def _first(mask: np.ndarray):
+    """Index tuple of the first True entry of ``mask`` in row-major order, or None."""
+    hits = np.flatnonzero(mask)
+    return np.unravel_index(hits[0], mask.shape) if hits.size else None
+
+
+def fuzzy_membership(fm: FuzzyMetric, x, y, t):
+    """Membership grade M(x, y, t) = t / (t + d(x, y)), with M(., ., 0) = 0.
+
+    ``t`` may be an ndarray; d(x, y) is then computed once for all of it.
+    """
+    if not np.all(np.greater_equal(t, 0.0)):
+        raise ValueError("t must be nonnegative")
+    m = _grade(t, _distances(fm, [(x, y)])[0])
+    return float(m) if m.ndim == 0 else m
 
 
 def audit_gv_axioms(fm: FuzzyMetric, point_sampler: Callable, point_samples: int = 64,
@@ -165,6 +189,11 @@ def audit_gv_axioms(fm: FuzzyMetric, point_sampler: Callable, point_samples: int
     (continuity in t) is probed per pair on a dense log-spaced t-grid:
     membership must be nondecreasing in t and small relative t-steps must
     produce membership changes below 1e-6.
+
+    The distances do not depend on t, so ``fm.base_distance`` is called
+    6 * point_samples - 2 times whatever ``t_samples`` is: once per point
+    with itself, once per adjacent pair in each orientation, and three times
+    per triple.  Each witness is the first failure in pair-major order.
     """
     if point_samples < 10:
         raise ValueError("point_samples must be at least 10")
@@ -172,92 +201,62 @@ def audit_gv_axioms(fm: FuzzyMetric, point_sampler: Callable, point_samples: int
         raise ValueError("t_samples must be at least 5")
     rng = np.random.default_rng(rng_seed)
     pts = [point_sampler(rng) for _ in range(point_samples)]
-    ts = 10.0 ** rng.uniform(math.log10(T_RANGE[0]), math.log10(T_RANGE[1]), t_samples)
+    ts = 10.0 ** rng.uniform(*LOG_T_RANGE, t_samples)
     tri = rng.integers(0, point_samples, size=(point_samples, 3))
+    t, s = (10.0 ** rng.uniform(*LOG_T_RANGE, (point_samples, 2))).T
     tnorm = _tnorm_fn(fm.tnorm)
+
+    adjacent = list(zip(pts[:-1], pts[1:]))
+    d_xy = _distances(fm, adjacent)[:, None]
+    m_xy = _grade(ts, d_xy)
+    m_yx = _grade(ts, _distances(fm, [(y, x) for x, y in adjacent])[:, None])
+    m_self = _grade(ts, _distances(fm, [(p, p) for p in pts])[:, None])
+    xs, ys, zs = ([pts[i] for i in col] for col in tri.T)
+    lhs = tnorm(_grade(t, _distances(fm, zip(xs, ys))), _grade(s, _distances(fm, zip(ys, zs))))
+    rhs = _grade(t + s, _distances(fm, zip(xs, zs)))
+    grid = np.geomspace(T_RANGE[0], T_RANGE[1], 64)
+    vals = _grade(grid, d_xy)
+    jump = np.abs(_grade(grid * (1.0 + 1e-6), d_xy) - vals)
 
     checks = []
 
-    witness = None
-    count = 0
-    for i in range(point_samples - 1):
-        count += 1
-        m0 = fuzzy_membership(fm, pts[i], pts[i + 1], 0.0)
-        if m0 != 0.0 and witness is None:
-            witness = {"x": pts[i], "y": pts[i + 1], "membership_at_0": float(m0)}
-    checks.append(AuditCheck(name="zero_at_t0", passed=witness is None,
-                             checked=count, witness=witness))
+    def check(name, failed, witness_at, checked=None, detail=""):
+        bad = _first(failed)
+        checks.append(AuditCheck(name=name, passed=bad is None,
+                                 checked=failed.size if checked is None else checked,
+                                 witness=None if bad is None else witness_at(*bad),
+                                 detail=detail))
 
-    witness = None
-    count = 0
-    for p in pts:
-        for t in ts:
-            count += 1
-            m = fuzzy_membership(fm, p, p, float(t))
-            if m != 1.0 and witness is None:
-                witness = {"x": p, "t": float(t), "membership": float(m)}
+    def pair_witness(i, **values):
+        x, y = adjacent[i]
+        return {"x": x, "y": y, **{k: float(v) for k, v in values.items()}}
+
+    m0 = _grade(0.0, d_xy)
+    check("zero_at_t0", m0 != 0.0, lambda i, _: pair_witness(i, membership_at_0=m0[i, 0]))
+
     # distinct carrier points must never reach grade 1; this also catches
-    # degenerate base distances that report 0 for distinct points
-    for i in range(point_samples - 1):
-        x, y = pts[i], pts[i + 1]
-        if x == y:
-            continue
-        for t in ts:
-            count += 1
-            m = fuzzy_membership(fm, x, y, float(t))
-            if m >= 1.0 and witness is None:
-                witness = {"x": x, "y": y, "t": float(t), "membership": float(m)}
-    checks.append(AuditCheck(name="identity", passed=witness is None,
-                             checked=count, witness=witness))
+    # degenerate base distances that report 0 for distinct points.  Rows are
+    # the points with themselves, then the adjacent pairs.
+    n = len(pts)
+    distinct = np.array([x != y for x, y in adjacent])[:, None]
+    check("identity", np.vstack([m_self != 1.0, (m_xy >= 1.0) & distinct]),
+          lambda r, j: ({"x": pts[r], "t": float(ts[j]), "membership": float(m_self[r, j])}
+                        if r < n else pair_witness(r - n, t=ts[j], membership=m_xy[r - n, j])),
+          checked=m_self.size + int(distinct.sum()) * t_samples)
 
-    witness = None
-    count = 0
-    for i in range(point_samples - 1):
-        x, y = pts[i], pts[i + 1]
-        for t in ts:
-            count += 1
-            m_xy = fuzzy_membership(fm, x, y, float(t))
-            m_yx = fuzzy_membership(fm, y, x, float(t))
-            if m_xy != m_yx and witness is None:
-                witness = {"x": x, "y": y, "t": float(t),
-                           "m_xy": float(m_xy), "m_yx": float(m_yx)}
-    checks.append(AuditCheck(name="symmetry", passed=witness is None,
-                             checked=count, witness=witness))
+    check("symmetry", m_xy != m_yx,
+          lambda i, j: pair_witness(i, t=ts[j], m_xy=m_xy[i, j], m_yx=m_yx[i, j]))
 
-    witness = None
-    count = 0
-    for ia, ib, ic in tri:
-        x, y, z = pts[ia], pts[ib], pts[ic]
-        t, s = 10.0 ** rng.uniform(math.log10(T_RANGE[0]), math.log10(T_RANGE[1]), 2)
-        count += 1
-        lhs = float(tnorm(fuzzy_membership(fm, x, y, t), fuzzy_membership(fm, y, z, s)))
-        rhs = fuzzy_membership(fm, x, z, t + s)
-        if lhs > rhs + AUDIT_SLACK and witness is None:
-            witness = {"x": x, "y": y, "z": z, "t": float(t), "s": float(s),
-                       "lhs": lhs, "rhs": float(rhs)}
-    checks.append(AuditCheck(name="tnorm_triangle", passed=witness is None,
-                             checked=count, witness=witness))
+    check("tnorm_triangle", lhs > rhs + AUDIT_SLACK,
+          lambda i: {"x": xs[i], "y": ys[i], "z": zs[i], "t": float(t[i]), "s": float(s[i]),
+                     "lhs": float(lhs[i]), "rhs": float(rhs[i])})
 
-    grid = np.geomspace(T_RANGE[0], T_RANGE[1], 64)
-    witness = None
-    count = 0
-    for i in range(point_samples - 1):
-        x, y = pts[i], pts[i + 1]
-        vals = [fuzzy_membership(fm, x, y, float(t)) for t in grid]
-        for j in range(len(grid) - 1):
-            count += 1
-            if vals[j + 1] < vals[j] - AUDIT_SLACK and witness is None:
-                witness = {"x": x, "y": y, "t": float(grid[j]),
-                           "drop": float(vals[j] - vals[j + 1])}
-        for t in grid:
-            count += 1
-            jump = abs(fuzzy_membership(fm, x, y, float(t) * (1.0 + 1e-6)) -
-                       fuzzy_membership(fm, x, y, float(t)))
-            if jump > 1e-6 and witness is None:
-                witness = {"x": x, "y": y, "t": float(t), "jump": float(jump)}
-    checks.append(AuditCheck(name="continuity_in_t", passed=witness is None,
-                             checked=count, witness=witness,
-                             detail="monotone on a log grid; 1e-6 relative-step probe"))
+    # per pair: the 63 monotonicity steps, then the 64 relative-step probes
+    steps = len(grid) - 1
+    check("continuity_in_t", np.hstack([vals[:, 1:] < vals[:, :-1] - AUDIT_SLACK, jump > 1e-6]),
+          lambda i, j: (pair_witness(i, t=grid[j], drop=vals[i, j] - vals[i, j + 1]) if j < steps
+                        else pair_witness(i, t=grid[j - steps], jump=jump[i, j - steps])),
+          detail="monotone on a log grid; 1e-6 relative-step probe")
 
     return AxiomAuditReport(target="fuzzy-metric-axioms",
                             passed=all(c.passed for c in checks), checks=tuple(checks))
@@ -298,12 +297,16 @@ def fuzzy_fixed_point(fm: FuzzyMetric, f: Callable, k: float, start,
     The condition M(f(x), f(y), k*t) >= M(x, y, t) is sampled on
     ``condition_pairs`` (or on pairs drawn via ``point_sampler``) with t
     log-uniform over T_RANGE; violations are reported but do not stop the
-    iteration.  Iteration proceeds until consecutive iterates are within
-    ``tolerance`` in the base distance.
+    iteration, and the witness is the first violation in pair-major order.
+    Iteration proceeds until consecutive iterates are within ``tolerance``
+    in the base distance.
+
+    ``fm.base_distance`` is called 2 * len(pairs) times by the audit, since
+    d(x, y) and d(f(x), f(y)) do not depend on t, plus once per iteration.
     """
     if not 0.0 < k < 1.0:
         raise ValueError("k must lie in (0, 1)")
-    if tolerance <= 0.0:
+    if not (tolerance > 0.0):
         raise ValueError("tolerance must be positive")
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
@@ -315,28 +318,21 @@ def fuzzy_fixed_point(fm: FuzzyMetric, f: Callable, k: float, start,
         condition_pairs = [(point_sampler(rng), point_sampler(rng))
                            for _ in range(pair_samples)]
 
-    samples = 0
-    violations = 0
-    min_margin = math.inf
-    max_abs = 0.0
-    witness = None
-    for x, y in condition_pairs:
-        fx, fy = f(x), f(y)
-        tvals = 10.0 ** rng.uniform(math.log10(T_RANGE[0]), math.log10(T_RANGE[1]), t_samples)
-        for t in tvals:
-            t = float(t)
-            margin = (fuzzy_membership(fm, fx, fy, k * t)
-                      - fuzzy_membership(fm, x, y, t))
-            samples += 1
-            min_margin = min(min_margin, margin)
-            max_abs = max(max_abs, abs(margin))
-            if margin < -AUDIT_SLACK:
-                violations += 1
-                if witness is None:
-                    witness = {"x": x, "y": y, "t": t, "margin": float(margin)}
-    condition = GSConditionAudit(samples=samples, violations=violations,
-                                 min_margin=float(min_margin), max_abs_margin=float(max_abs),
-                                 witness=witness, holds=violations == 0)
+    pairs = list(condition_pairs)
+    d_f = _distances(fm, [(f(x), f(y)) for x, y in pairs])[:, None]
+    d = _distances(fm, pairs)[:, None]
+    ts = 10.0 ** rng.uniform(*LOG_T_RANGE, (len(pairs), t_samples))
+    margin = _grade(k * ts, d_f) - _grade(ts, d)
+    failed = margin < -AUDIT_SLACK
+    bad = _first(failed)
+    witness = None if bad is None else {"x": pairs[bad[0]][0], "y": pairs[bad[0]][1],
+                                        "t": float(ts[bad]), "margin": float(margin[bad])}
+    # fmin/fmax skip NaN margins, as the comparisons that count violations do
+    condition = GSConditionAudit(
+        samples=margin.size, violations=int(failed.sum()),
+        min_margin=float(np.fmin.reduce(margin, axis=None, initial=math.inf)),
+        max_abs_margin=float(np.fmax.reduce(np.abs(margin), axis=None, initial=0.0)),
+        witness=witness, holds=not failed.any())
 
     iterates = [start]
     steps: list[float] = []

@@ -194,7 +194,7 @@ def iterate_to_fixed_point(m: AffineGaussianMap, start: GaussianState,
     tolerance; ``converged`` records whether that happened within the budget.
     The report always contains the full trace.
     """
-    if tolerance <= 0.0:
+    if not (tolerance > 0.0):
         raise ValueError("tolerance must be positive")
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")

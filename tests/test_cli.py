@@ -211,6 +211,31 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert doc["command"] == "distance"
 
 
+def test_out_to_unwritable_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code = main(["distance", "--a", "0,1", "--b", "2,1", "--out", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: --out: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["iterate", "--map", "0.5,0,0.5,0.5", "--start", "4,3", "--tol", "nan",
+     "--max-iter", "50"],
+    ["compare", "--tol", "nan"],
+    ["audit", "--target", "banach-bounds", "--tol", "nan"],
+])
+def test_nan_tolerance_exits_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "tolerance must be positive" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_identical_invocations_byte_identical(capsys):
     argv = ["compare", "--seed", "0", "--format", "json"]
     _, first = invoke(capsys, *argv)

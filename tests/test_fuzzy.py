@@ -5,14 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfixpoint.fuzzy import (FuzzyMetric, TNormKind, absolute_difference,
-                             audit_gv_axioms, audit_tnorm_axioms,
-                             audit_tnorm_ordering, fuzzy_fixed_point,
-                             fuzzy_membership, real_line_sampler, tnorm_eval)
+from qfixpoint.compare import gaussian_parameter_metric, gaussian_state_sampler
+from qfixpoint.fuzzy import (AUDIT_SLACK, T_RANGE, FuzzyMetric, TNormKind,
+                             _tnorm_fn, absolute_difference, audit_gv_axioms,
+                             audit_tnorm_axioms, audit_tnorm_ordering,
+                             fuzzy_fixed_point, fuzzy_membership,
+                             real_line_sampler, tnorm_eval)
+from qfixpoint.reports import AuditCheck, AxiomAuditReport
+from qfixpoint.solver import AffineGaussianMap, apply_map
 
 unit = st.floats(0.0, 1.0)
 
 LINE = FuzzyMetric(base_distance=absolute_difference)
+
+
+def _counting(base_distance):
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return base_distance(x, y)
+    return calls, FuzzyMetric(base_distance=counted)
 
 
 # ------------------------------------------------------------------- t-norms
@@ -71,6 +84,18 @@ def test_membership_formula_values():
     assert fuzzy_membership(LINE, 0.0, 7.0, 0.0) == 0.0
     with pytest.raises(ValueError):
         fuzzy_membership(LINE, 0.0, 1.0, -1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        fuzzy_membership(LINE, 0.0, 1.0, math.nan)
+
+
+def test_membership_sweeps_an_array_of_t_with_one_distance_call():
+    calls, fm = _counting(absolute_difference)
+    ts = np.array([0.0, 1e-3, 0.5, 1.0, 7.0, 1e3])
+    grades = fuzzy_membership(fm, 0.0, 1.0, ts)
+    assert len(calls) == 1
+    assert grades.tolist() == [fuzzy_membership(LINE, 0.0, 1.0, float(t)) for t in ts]
+    with pytest.raises(ValueError, match="nonnegative"):
+        fuzzy_membership(LINE, 0.0, 1.0, np.array([1.0, -1.0]))
 
 
 @settings(max_examples=200)
@@ -173,3 +198,239 @@ def test_fuzzy_fixed_point_accepts_explicit_pairs():
                                condition_pairs=pairs, t_samples=5)
     assert report.condition.samples == len(pairs) * 5
     assert report.condition.holds
+
+
+def test_fuzzy_fixed_point_rejects_nan_tolerance():
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        fuzzy_fixed_point(LINE, lambda x: x / 2, 0.5, 1.0, math.nan,
+                          point_sampler=real_line_sampler())
+
+
+# ------------------------------------------ scalar reference implementations
+#
+# The per-t loops that the vectorized audits replaced, kept verbatim so the
+# audits can be checked against them for exact (not approximate) equality.
+
+def _scalar_membership(fm, x, y, t):
+    if t < 0.0:
+        raise ValueError("t must be nonnegative")
+    if t == 0.0:
+        return 0.0
+    d = fm.base_distance(x, y)
+    if d < 0.0:
+        raise ValueError("base_distance returned a negative value")
+    return t / (t + d)
+
+
+def _scalar_condition(fm, f, k, condition_pairs, t_samples, rng):
+    samples = 0
+    violations = 0
+    min_margin = math.inf
+    max_abs = 0.0
+    witness = None
+    for x, y in condition_pairs:
+        fx, fy = f(x), f(y)
+        tvals = 10.0 ** rng.uniform(math.log10(T_RANGE[0]), math.log10(T_RANGE[1]), t_samples)
+        for t in tvals:
+            t = float(t)
+            margin = (_scalar_membership(fm, fx, fy, k * t)
+                      - _scalar_membership(fm, x, y, t))
+            samples += 1
+            min_margin = min(min_margin, margin)
+            max_abs = max(max_abs, abs(margin))
+            if margin < -AUDIT_SLACK:
+                violations += 1
+                if witness is None:
+                    witness = {"x": x, "y": y, "t": t, "margin": float(margin)}
+    return samples, violations, float(min_margin), float(max_abs), witness
+
+
+def _scalar_gv_audit(fm, point_sampler, point_samples, t_samples, rng_seed):
+    rng = np.random.default_rng(rng_seed)
+    pts = [point_sampler(rng) for _ in range(point_samples)]
+    ts = 10.0 ** rng.uniform(math.log10(T_RANGE[0]), math.log10(T_RANGE[1]), t_samples)
+    tri = rng.integers(0, point_samples, size=(point_samples, 3))
+    tnorm = _tnorm_fn(fm.tnorm)
+
+    checks = []
+
+    witness = None
+    count = 0
+    for i in range(point_samples - 1):
+        count += 1
+        m0 = _scalar_membership(fm, pts[i], pts[i + 1], 0.0)
+        if m0 != 0.0 and witness is None:
+            witness = {"x": pts[i], "y": pts[i + 1], "membership_at_0": float(m0)}
+    checks.append(AuditCheck(name="zero_at_t0", passed=witness is None,
+                             checked=count, witness=witness))
+
+    witness = None
+    count = 0
+    for p in pts:
+        for t in ts:
+            count += 1
+            m = _scalar_membership(fm, p, p, float(t))
+            if m != 1.0 and witness is None:
+                witness = {"x": p, "t": float(t), "membership": float(m)}
+    for i in range(point_samples - 1):
+        x, y = pts[i], pts[i + 1]
+        if x == y:
+            continue
+        for t in ts:
+            count += 1
+            m = _scalar_membership(fm, x, y, float(t))
+            if m >= 1.0 and witness is None:
+                witness = {"x": x, "y": y, "t": float(t), "membership": float(m)}
+    checks.append(AuditCheck(name="identity", passed=witness is None,
+                             checked=count, witness=witness))
+
+    witness = None
+    count = 0
+    for i in range(point_samples - 1):
+        x, y = pts[i], pts[i + 1]
+        for t in ts:
+            count += 1
+            m_xy = _scalar_membership(fm, x, y, float(t))
+            m_yx = _scalar_membership(fm, y, x, float(t))
+            if m_xy != m_yx and witness is None:
+                witness = {"x": x, "y": y, "t": float(t),
+                           "m_xy": float(m_xy), "m_yx": float(m_yx)}
+    checks.append(AuditCheck(name="symmetry", passed=witness is None,
+                             checked=count, witness=witness))
+
+    witness = None
+    count = 0
+    for ia, ib, ic in tri:
+        x, y, z = pts[ia], pts[ib], pts[ic]
+        t, s = 10.0 ** rng.uniform(math.log10(T_RANGE[0]), math.log10(T_RANGE[1]), 2)
+        count += 1
+        lhs = float(tnorm(_scalar_membership(fm, x, y, t), _scalar_membership(fm, y, z, s)))
+        rhs = _scalar_membership(fm, x, z, t + s)
+        if lhs > rhs + AUDIT_SLACK and witness is None:
+            witness = {"x": x, "y": y, "z": z, "t": float(t), "s": float(s),
+                       "lhs": lhs, "rhs": float(rhs)}
+    checks.append(AuditCheck(name="tnorm_triangle", passed=witness is None,
+                             checked=count, witness=witness))
+
+    grid = np.geomspace(T_RANGE[0], T_RANGE[1], 64)
+    witness = None
+    count = 0
+    for i in range(point_samples - 1):
+        x, y = pts[i], pts[i + 1]
+        vals = [_scalar_membership(fm, x, y, float(t)) for t in grid]
+        for j in range(len(grid) - 1):
+            count += 1
+            if vals[j + 1] < vals[j] - AUDIT_SLACK and witness is None:
+                witness = {"x": x, "y": y, "t": float(grid[j]),
+                           "drop": float(vals[j] - vals[j + 1])}
+        for t in grid:
+            count += 1
+            jump = abs(_scalar_membership(fm, x, y, float(t) * (1.0 + 1e-6)) -
+                       _scalar_membership(fm, x, y, float(t)))
+            if jump > 1e-6 and witness is None:
+                witness = {"x": x, "y": y, "t": float(t), "jump": float(jump)}
+    checks.append(AuditCheck(name="continuity_in_t", passed=witness is None,
+                             checked=count, witness=witness,
+                             detail="monotone on a log grid; 1e-6 relative-step probe"))
+
+    return AxiomAuditReport(target="fuzzy-metric-axioms",
+                            passed=all(c.passed for c in checks), checks=tuple(checks))
+
+
+GAUSSIAN = gaussian_parameter_metric()
+MAP = AffineGaussianMap(0.2, 0.4, 0.2, 0.7)  # sampled contraction factor about 0.87
+
+
+# ------------------------------------------- vectorized == scalar reference
+
+@pytest.mark.parametrize("fm, f, k, sampler, holds", [
+    # k below the map's factor: the condition fails on most pairs
+    (GAUSSIAN, lambda s: apply_map(MAP, s), 0.3, gaussian_state_sampler(), False),
+    # k above it: the condition holds with small positive margins
+    (GAUSSIAN, lambda s: apply_map(MAP, s), 0.9, gaussian_state_sampler(), True),
+    # k a hair below the factor 1/2: a margin falls below -AUDIT_SLACK only
+    # for t within about two decades of d(x, y), so the violations are
+    # scattered over (pair, t) and the witness order matters
+    (LINE, lambda x: x / 2, 0.5 - 1e-10, lambda rng: float(10.0 ** rng.uniform(-3, 1)), False),
+    # an expanding map on the line violates the condition for every k
+    (LINE, lambda x: 1.5 * x + 0.1, 0.5, real_line_sampler(), False),
+    # NaN margins count as neither violations nor extremes
+    (FuzzyMetric(base_distance=lambda x, y: math.nan if x > 5.0 else abs(x - y)),
+     lambda x: x / 2, 0.3, real_line_sampler(), False),
+])
+def test_condition_audit_equals_scalar_loop(fm, f, k, sampler, holds):
+    start = sampler(np.random.default_rng(99))
+    report = fuzzy_fixed_point(fm, f, k, start, 1e-12, 5, point_sampler=sampler,
+                               pair_samples=150, t_samples=11, rng_seed=3)
+    rng = np.random.default_rng(3)
+    pairs = [(sampler(rng), sampler(rng)) for _ in range(150)]
+    samples, violations, min_margin, max_abs, witness = _scalar_condition(
+        fm, f, k, pairs, 11, rng)
+    c = report.condition
+    assert c.holds is holds
+    assert (violations > 0) is not holds
+    assert c.samples == samples == 150 * 11
+    assert c.violations == violations
+    assert c.min_margin == min_margin
+    assert c.max_abs_margin == max_abs
+    assert c.witness == witness
+
+
+def _asymmetric(x, y):
+    return abs(x - y) * (1.0 + 1e-9 * (x > y))
+
+
+@pytest.mark.parametrize("fm, sampler, failing", [
+    (LINE, real_line_sampler(), None),
+    (GAUSSIAN, gaussian_state_sampler(), None),
+    # repeated points: equal adjacent pairs are exempt from the identity check
+    (LINE, lambda rng: float(rng.integers(0, 3)), None),
+    (FuzzyMetric(base_distance=_asymmetric), real_line_sampler(), "symmetry"),
+    # d(p, p) > 0: the identity witness on a point paired with itself
+    (FuzzyMetric(base_distance=lambda x, y: abs(x - y) + 1e-3), real_line_sampler(),
+     "identity"),
+    # d = 0 for distinct points: the identity witness on an adjacent pair
+    (FuzzyMetric(base_distance=lambda x, y: 0.0), real_line_sampler(), "identity"),
+    (FuzzyMetric(base_distance=lambda x, y: (x - y) ** 2, tnorm=TNormKind.MINIMUM),
+     real_line_sampler(), "tnorm_triangle"),
+])
+@pytest.mark.parametrize("points, t_samples, seed", [(64, 16, 0), (23, 5, 7)])
+def test_gv_audit_equals_scalar_loop(fm, sampler, failing, points, t_samples, seed):
+    # zero_at_t0 and continuity_in_t cannot fail for a deterministic base
+    # distance: t / (t + d) is 0 at t = 0 and smooth and nondecreasing in t
+    report = audit_gv_axioms(fm, sampler, points, t_samples, seed)
+    assert report == _scalar_gv_audit(fm, sampler, points, t_samples, seed)
+    failed = [c.name for c in report.checks if not c.passed]
+    if failing is None:
+        assert not failed
+    else:
+        assert failing in failed
+        assert next(c for c in report.checks if c.name == failing).witness is not None
+
+
+# --------------------------------------------------- base-distance call counts
+
+def test_condition_audit_calls_base_distance_once_per_pair():
+    calls, fm = _counting(absolute_difference)
+    pairs = [(float(a), float(a) + 3.0) for a in range(40)]
+    report = fuzzy_fixed_point(fm, lambda x: x / 2, 0.5, 8.0, 1e-12, 10000,
+                               condition_pairs=pairs, t_samples=16)
+    assert report.converged
+    assert len(calls) == 2 * len(pairs) + report.iterations_used
+
+
+def test_gv_audit_call_count_does_not_depend_on_t_samples():
+    counts = []
+    for t_samples in (5, 16):
+        calls, fm = _counting(absolute_difference)
+        audit_gv_axioms(fm, real_line_sampler(), 32, t_samples, rng_seed=1)
+        counts.append(len(calls))
+    assert counts == [6 * 32 - 2] * 2
+
+
+def test_negative_base_distance_still_rejected():
+    fm = FuzzyMetric(base_distance=lambda x, y: -abs(x - y) - 1.0)
+    with pytest.raises(ValueError, match="negative"):
+        fuzzy_fixed_point(fm, lambda x: x / 2, 0.5, 1.0, point_sampler=real_line_sampler())
+    with pytest.raises(ValueError, match="negative"):
+        audit_gv_axioms(fm, real_line_sampler(), 16, 8)

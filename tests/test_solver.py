@@ -166,6 +166,14 @@ def test_iterate_validates_arguments():
         iterate_to_fixed_point(MAP_HALVING, GaussianState(4, 3), max_iterations=0)
 
 
+def test_nan_tolerance_rejected():
+    # NaN passes a `tolerance <= 0` check and would then burn the whole budget
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        iterate_to_fixed_point(MAP_HALVING, GaussianState(4, 3), tolerance=math.nan)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        verify_uniqueness(MAP_HALVING, DEFAULT_STARTS, math.nan)
+
+
 # ------------------------------------------------------------- banach bounds
 
 def test_banach_bounds_pass_with_trace_estimate():
