@@ -248,6 +248,9 @@ def _run_audits(args):
             raise NotConvergedError("iteration did not converge; no bounds to verify",
                                     report=run)
         k = run.k_estimate if args.k is None else args.k
+        if args.k is None and not 0.0 <= k < 1.0:
+            raise CliError(f"--k was not given and the trace's k_estimate {k:.17g} is "
+                           "not in [0, 1); pass --k with 0 <= k < 1")
         try:
             reports = {"banach-bounds": verify_banach_bounds(run, k)}
         except ValueError as exc:

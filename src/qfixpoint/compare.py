@@ -15,7 +15,7 @@ import numpy as np
 
 from .fuzzy import FuzzyMetric, FuzzyFixedPointReport, fuzzy_fixed_point
 from .gaussian import (DEFAULT_QUADRATURE, GaussianState, QuadratureConfig,
-                       evaluate, overlap_closed_form, state_distance)
+                       _simpson_nodes, evaluate, overlap_closed_form, state_distance)
 from .solver import (DEFAULT_MAX_ITERATIONS, DEFAULT_REGION, DEFAULT_TOLERANCE,
                      AffineGaussianMap, FixedPointReport, NotConvergedError,
                      ParameterBox, apply_map, estimate_contraction_factor,
@@ -63,13 +63,11 @@ def interference_excess_quadrature(a: GaussianState, b: GaussianState,
     w = cfg.half_width_sigmas * max(a.sigma, b.sigma)
     lo = min(a.mu, b.mu) - w
     hi = max(a.mu, b.mu) + w
-    npts = 2 * cfg.panels + 1
+    _, wts = _simpson_nodes(cfg.panels)
+    npts = wts.size
     x = np.linspace(lo, hi, npts)
     ya = evaluate(a, x)
     yb = evaluate(b, x)
-    wts = np.ones(npts)
-    wts[1:-1:2] = 4.0
-    wts[2:-1:2] = 2.0
     h = (hi - lo) / (npts - 1)
     def integral(y):
         return float((y @ wts) * h / 3.0)

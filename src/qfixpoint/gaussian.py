@@ -96,6 +96,10 @@ def overlap_closed_form(a: GaussianState, b: GaussianState) -> float:
     return pref * math.exp(-((a.mu - b.mu) ** 2) / (2.0 * ss))
 
 
+# doubles per quadrature work buffer: 512 KiB, so both buffers fit in L2
+_NODE_BUDGET = 65536
+
+
 @lru_cache(maxsize=8)
 def _simpson_nodes(panels: int):
     """Unit-interval node ramp and Simpson weights for 2*panels+1 points."""
@@ -107,22 +111,28 @@ def _simpson_nodes(panels: int):
     return j, w
 
 
-def overlap_quadrature_many(mu1, sigma1, mu2, sigma2, cfg: QuadratureConfig | None = None,
-                            chunk: int = 128) -> np.ndarray:
+def overlap_quadrature_many(mu1, sigma1, mu2, sigma2,
+                            cfg: QuadratureConfig | None = None) -> np.ndarray:
     """Quadrature overlaps for arrays of state parameters (one pair per entry).
 
-    Same rule as :func:`overlap_quadrature`, evaluated in chunks so large
-    parameter grids stay cache-friendly.
+    Same rule as :func:`overlap_quadrature`.  The four inputs must be 1-D
+    arrays (or scalars) of one common size.  Pairs are evaluated in chunks of
+    ``max(1, _NODE_BUDGET // (2*panels + 1))`` rows, so each of the two
+    work buffers holds at most ``_NODE_BUDGET`` doubles (512 KiB) and both
+    stay in a per-core L2 cache.
     """
     cfg = cfg if cfg is not None else DEFAULT_QUADRATURE
     mu1, sigma1, mu2, sigma2 = map(np.atleast_1d, (mu1, sigma1, mu2, sigma2))
+    if any(a.ndim != 1 or a.size != mu1.size for a in (mu1, sigma1, mu2, sigma2)):
+        raise ValueError("mu1, sigma1, mu2 and sigma2 must be 1-D and of one size")
     jr, wts = _simpson_nodes(cfg.panels)
     npts = jr.size
+    rows = max(1, _NODE_BUDGET // npts)
     out = np.empty(mu1.size)
-    buf1 = np.empty((min(chunk, mu1.size), npts))
+    buf1 = np.empty((min(rows, mu1.size), npts))
     buf2 = np.empty_like(buf1)
-    for i in range(0, mu1.size, chunk):
-        sl = slice(i, min(i + chunk, mu1.size))
+    for i in range(0, mu1.size, rows):
+        sl = slice(i, min(i + rows, mu1.size))
         m1, s1, m2, s2 = mu1[sl], sigma1[sl], mu2[sl], sigma2[sl]
         w = cfg.half_width_sigmas * np.maximum(s1, s2)
         lo = np.minimum(m1, m2) - w

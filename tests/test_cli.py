@@ -154,6 +154,25 @@ def test_audit_banach_bounds_small_k_exits_4(capsys):
     assert doc["result"]["passed"] is False
 
 
+def test_audit_banach_bounds_estimate_not_below_one_names_missing_k(capsys):
+    # this trace's own k_estimate is about 1.15
+    code = main(["audit", "--target", "banach-bounds", "--map=0.26,-1.4,0.04,0.1",
+                 "--start=3.1,4.6", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --k was not given") and captured.err.count("\n") == 1
+    assert "k_estimate 1.15" in captured.err and "pass --k" in captured.err
+
+
+def test_audit_banach_bounds_explicit_bad_k_exits_2(capsys):
+    code = main(["audit", "--target", "banach-bounds", "--k", "1.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --k: k must satisfy 0 <= k < 1\n"
+
+
 def test_audit_unknown_target_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["audit", "--target", "bogus"])

@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfixpoint.gaussian import (DEFAULT_QUADRATURE, GaussianState, QuadratureConfig,
-                                audit_metric_axioms, distance_from_params, evaluate,
-                                overlap_closed_form, overlap_quadrature,
+from qfixpoint.gaussian import (_NODE_BUDGET, DEFAULT_QUADRATURE, GaussianState,
+                                QuadratureConfig, audit_metric_axioms, distance_from_params,
+                                evaluate, overlap_closed_form, overlap_quadrature,
                                 overlap_quadrature_many, state_distance)
 
 states = st.builds(GaussianState,
@@ -107,6 +108,47 @@ def test_overlap_quadrature_many_matches_scalar():
         one = overlap_quadrature(GaussianState(mu[0, i], sg[0, i]),
                                  GaussianState(mu[1, i], sg[1, i]))
         assert batch[i] == one
+
+
+@pytest.mark.parametrize("panels", [4096, 16384])
+def test_overlap_quadrature_many_spans_chunks_bitwise(panels):
+    cfg = QuadratureConfig(panels=panels)
+    rows = max(1, _NODE_BUDGET // (2 * panels + 1))
+    n = 3 * rows + 1
+    rng = np.random.default_rng(panels)
+    mu = rng.uniform(-10, 10, (2, n))
+    sg = rng.uniform(0.1, 10, (2, n))
+    batch = overlap_quadrature_many(mu[0], sg[0], mu[1], sg[1], cfg)
+    for i in range(n):
+        one = overlap_quadrature(GaussianState(mu[0, i], sg[0, i]),
+                                 GaussianState(mu[1, i], sg[1, i]), cfg)
+        assert batch[i] == one
+
+
+@pytest.mark.parametrize("args", [
+    # mismatched sizes used to broadcast at 3 pairs and to fail inside a chunk at 200
+    (np.zeros(3), np.ones(3), np.zeros(1), np.ones(1)),
+    (np.zeros(200), np.ones(200), np.zeros(1), np.ones(1)),
+    (np.zeros((2, 2)), np.ones((2, 2)), np.zeros((2, 2)), np.ones((2, 2))),
+])
+def test_overlap_quadrature_many_rejects_ragged_or_2d_input(args):
+    with pytest.raises(ValueError, match="1-D and of one size"):
+        overlap_quadrature_many(*args)
+
+
+def test_overlap_quadrature_many_memory_stays_within_node_budget():
+    cfg = QuadratureConfig(panels=16384)
+    rng = np.random.default_rng(7)
+    mu = rng.uniform(-10, 10, (2, 64))
+    sg = rng.uniform(0.1, 10, (2, 64))
+    overlap_quadrature_many(mu[0], sg[0], mu[1], sg[1], cfg)  # warm the node cache
+    tracemalloc.start()
+    try:
+        overlap_quadrature_many(mu[0], sg[0], mu[1], sg[1], cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @settings(max_examples=100)
