@@ -419,6 +419,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except OverflowError:
+        # finite inputs whose squared differences exceed the double range
+        print("error: the inputs overflow double-precision arithmetic; use smaller "
+              "magnitudes", file=sys.stderr)
+        return EXIT_INVALID
     except NotConvergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED

@@ -13,13 +13,15 @@ from typing import Callable
 
 import numpy as np
 
-from .fuzzy import FuzzyMetric, FuzzyFixedPointReport, fuzzy_fixed_point
+from .fuzzy import FuzzyMetric, FuzzyFixedPointReport, _condition_audit, fuzzy_fixed_point
 from .gaussian import (DEFAULT_QUADRATURE, GaussianState, QuadratureConfig,
                        _simpson_nodes, evaluate, overlap_closed_form, state_distance)
+# sample_state_pairs is not called here, but bench/tracing.py patches it by name
 from .solver import (DEFAULT_MAX_ITERATIONS, DEFAULT_REGION, DEFAULT_TOLERANCE,
                      AffineGaussianMap, FixedPointReport, NotConvergedError,
-                     ParameterBox, apply_map, estimate_contraction_factor,
-                     iterate_to_fixed_point, sample_state_pairs)
+                     ParameterBox, _distances_under_map, _sample_pair_params, apply_map,
+                     estimate_contraction_factor, iterate_to_fixed_point,
+                     sample_state_pairs)
 
 __all__ = [
     "ContractionOutcome",
@@ -127,8 +129,10 @@ def build_feature_report(m: AffineGaussianMap, start: GaussianState,
 
     The fuzzy side reuses the contraction factor estimated on ``region`` and
     audits its condition on the same sampled pairs, so the two runs are
-    driven by identical data.  Raises NotConvergedError if either iteration
-    exhausts its budget.
+    driven by identical data.  The audit works on the pairs' parameter
+    arrays, with 16 t values per pair; states are built only for a witness,
+    and the fuzzy base distance is called once per iteration step.  Raises
+    NotConvergedError if either iteration exhausts its budget.
     """
     quantum = iterate_to_fixed_point(m, start, tolerance, max_iterations)
     if not quantum.converged:
@@ -138,10 +142,14 @@ def build_feature_report(m: AffineGaussianMap, start: GaussianState,
     # the condition requires k strictly inside (0, 1); the constant map
     # estimates k = 0, any positive factor below 1 certifies it
     k = min(max(k_raw, 1e-6), 1.0 - 1e-12)
-    pairs = sample_state_pairs(region, condition_samples, np.random.default_rng(rng_seed))
+    mu1, sg1, mu2, sg2 = _sample_pair_params(region, condition_samples,
+                                             np.random.default_rng(rng_seed))
+    d, d_f = _distances_under_map(m, mu1, sg1, mu2, sg2)
+    condition = _condition_audit(
+        d, d_f, k, np.random.default_rng(rng_seed),
+        lambda i: (GaussianState(mu1[i], sg1[i]), GaussianState(mu2[i], sg2[i])))
     fuzzy = fuzzy_fixed_point(gaussian_parameter_metric(), lambda s: apply_map(m, s), k,
-                              start, tolerance, max_iterations,
-                              condition_pairs=pairs, rng_seed=rng_seed)
+                              start, tolerance, max_iterations, condition=condition)
     if not fuzzy.converged:
         raise NotConvergedError("fuzzy iteration did not converge")
 

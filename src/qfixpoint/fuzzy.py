@@ -287,8 +287,34 @@ class FuzzyFixedPointReport:
     condition: GSConditionAudit
 
 
+def _condition_audit(d, d_f, k: float, rng: np.random.Generator, pair_at: Callable,
+                     t_samples: int = 16) -> GSConditionAudit:
+    """Audit M(f(x), f(y), k*t) >= M(x, y, t) from the t-independent distances.
+
+    The 1-D arrays ``d`` and ``d_f`` hold d(x, y) and d(f(x), f(y)) per
+    pair.  Each pair gets a row of ``t_samples`` t values drawn log-uniformly
+    over T_RANGE from ``rng``.  The witness is the first violation in
+    pair-major order, and ``pair_at(i)`` gives the (x, y) it names.
+    """
+    ts = 10.0 ** rng.uniform(*LOG_T_RANGE, (d.size, t_samples))
+    margin = _grade(k * ts, d_f[:, None]) - _grade(ts, d[:, None])
+    failed = margin < -AUDIT_SLACK
+    bad = _first(failed)
+    witness = None
+    if bad is not None:
+        x, y = pair_at(int(bad[0]))
+        witness = {"x": x, "y": y, "t": float(ts[bad]), "margin": float(margin[bad])}
+    # fmin/fmax skip NaN margins, as the comparisons that count violations do
+    return GSConditionAudit(
+        samples=margin.size, violations=int(failed.sum()),
+        min_margin=float(np.fmin.reduce(margin, axis=None, initial=math.inf)),
+        max_abs_margin=float(np.fmax.reduce(np.abs(margin), axis=None, initial=0.0)),
+        witness=witness, holds=not failed.any())
+
+
 def fuzzy_fixed_point(fm: FuzzyMetric, f: Callable, k: float, start,
                       tolerance: float = 1e-12, max_iterations: int = 10000, *,
+                      condition: GSConditionAudit | None = None,
                       condition_pairs=None, point_sampler: Callable | None = None,
                       pair_samples: int = 200, t_samples: int = 16,
                       rng_seed: int = 0) -> FuzzyFixedPointReport:
@@ -298,11 +324,13 @@ def fuzzy_fixed_point(fm: FuzzyMetric, f: Callable, k: float, start,
     ``condition_pairs`` (or on pairs drawn via ``point_sampler``) with t
     log-uniform over T_RANGE; violations are reported but do not stop the
     iteration, and the witness is the first violation in pair-major order.
-    Iteration proceeds until consecutive iterates are within ``tolerance``
-    in the base distance.
+    A caller that has already audited the condition passes the audit as
+    ``condition`` instead of the pairs.  Iteration proceeds until
+    consecutive iterates are within ``tolerance`` in the base distance.
 
     ``fm.base_distance`` is called 2 * len(pairs) times by the audit, since
-    d(x, y) and d(f(x), f(y)) do not depend on t, plus once per iteration.
+    d(x, y) and d(f(x), f(y)) do not depend on t, plus once per iteration;
+    with ``condition`` given, only once per iteration.
     """
     if not 0.0 < k < 1.0:
         raise ValueError("k must lie in (0, 1)")
@@ -311,28 +339,19 @@ def fuzzy_fixed_point(fm: FuzzyMetric, f: Callable, k: float, start,
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
 
-    rng = np.random.default_rng(rng_seed)
-    if condition_pairs is None:
-        if point_sampler is None:
-            raise ValueError("provide condition_pairs or a point_sampler")
-        condition_pairs = [(point_sampler(rng), point_sampler(rng))
-                           for _ in range(pair_samples)]
-
-    pairs = list(condition_pairs)
-    d_f = _distances(fm, [(f(x), f(y)) for x, y in pairs])[:, None]
-    d = _distances(fm, pairs)[:, None]
-    ts = 10.0 ** rng.uniform(*LOG_T_RANGE, (len(pairs), t_samples))
-    margin = _grade(k * ts, d_f) - _grade(ts, d)
-    failed = margin < -AUDIT_SLACK
-    bad = _first(failed)
-    witness = None if bad is None else {"x": pairs[bad[0]][0], "y": pairs[bad[0]][1],
-                                        "t": float(ts[bad]), "margin": float(margin[bad])}
-    # fmin/fmax skip NaN margins, as the comparisons that count violations do
-    condition = GSConditionAudit(
-        samples=margin.size, violations=int(failed.sum()),
-        min_margin=float(np.fmin.reduce(margin, axis=None, initial=math.inf)),
-        max_abs_margin=float(np.fmax.reduce(np.abs(margin), axis=None, initial=0.0)),
-        witness=witness, holds=not failed.any())
+    if condition is None:
+        rng = np.random.default_rng(rng_seed)
+        if condition_pairs is None:
+            if point_sampler is None:
+                raise ValueError("provide condition_pairs or a point_sampler")
+            condition_pairs = [(point_sampler(rng), point_sampler(rng))
+                               for _ in range(pair_samples)]
+        pairs = list(condition_pairs)
+        d_f = _distances(fm, [(f(x), f(y)) for x, y in pairs])
+        condition = _condition_audit(_distances(fm, pairs), d_f, k, rng, pairs.__getitem__,
+                                     t_samples)
+    elif condition_pairs is not None or point_sampler is not None:
+        raise ValueError("provide either condition or the pairs to audit, not both")
 
     iterates = [start]
     steps: list[float] = []

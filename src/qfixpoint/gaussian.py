@@ -115,16 +115,19 @@ def overlap_quadrature_many(mu1, sigma1, mu2, sigma2,
                             cfg: QuadratureConfig | None = None) -> np.ndarray:
     """Quadrature overlaps for arrays of state parameters (one pair per entry).
 
-    Same rule as :func:`overlap_quadrature`.  The four inputs must be 1-D
-    arrays (or scalars) of one common size.  Pairs are evaluated in chunks of
-    ``max(1, _NODE_BUDGET // (2*panels + 1))`` rows, so each of the two
-    work buffers holds at most ``_NODE_BUDGET`` doubles (512 KiB) and both
-    stay in a per-core L2 cache.
+    Same rule as :func:`overlap_quadrature`.  The four inputs must be finite
+    1-D arrays (or scalars) of one common size, with every sigma > 0.  Pairs
+    are evaluated in chunks of ``max(1, _NODE_BUDGET // (2*panels + 1))``
+    rows, so each of the two work buffers holds at most ``_NODE_BUDGET``
+    doubles (512 KiB) and both stay in a per-core L2 cache.
     """
     cfg = cfg if cfg is not None else DEFAULT_QUADRATURE
     mu1, sigma1, mu2, sigma2 = map(np.atleast_1d, (mu1, sigma1, mu2, sigma2))
     if any(a.ndim != 1 or a.size != mu1.size for a in (mu1, sigma1, mu2, sigma2)):
         raise ValueError("mu1, sigma1, mu2 and sigma2 must be 1-D and of one size")
+    if not (all(np.isfinite(a).all() for a in (mu1, sigma1, mu2, sigma2))
+            and (sigma1 > 0.0).all() and (sigma2 > 0.0).all()):
+        raise ValueError("state parameters must be finite and every sigma positive")
     jr, wts = _simpson_nodes(cfg.panels)
     npts = jr.size
     rows = max(1, _NODE_BUDGET // npts)

@@ -87,6 +87,10 @@ class ParameterBox:
     sigma_hi: float
 
     def __post_init__(self):
+        # the sampler draws uniformly between the bounds, which needs a finite span
+        if not (math.isfinite(self.mu_hi - self.mu_lo)
+                and math.isfinite(self.sigma_hi - self.sigma_lo)):
+            raise ValueError("parameter box bounds and spans must be finite")
         if not self.mu_lo <= self.mu_hi:
             raise ValueError("mu interval is empty")
         if not 0.0 < self.sigma_lo <= self.sigma_hi:
@@ -154,6 +158,14 @@ def _sample_pair_params(region: ParameterBox, samples: int, rng: np.random.Gener
     return mu1, sg1, mu2, sg2
 
 
+def _distances_under_map(m: AffineGaussianMap, mu1, sg1, mu2, sg2):
+    """d(a, b) and d(Ta, Tb) for arrays of pair parameters, mapped as apply_map does."""
+    return (distance_from_params(mu1, sg1, mu2, sg2),
+            distance_from_params(
+                m.mu_scale * mu1 + m.mu_shift, m.sigma_scale * sg1 + m.sigma_shift,
+                m.mu_scale * mu2 + m.mu_shift, m.sigma_scale * sg2 + m.sigma_shift))
+
+
 def sample_state_pairs(region: ParameterBox, samples: int,
                        rng: np.random.Generator) -> list[tuple[GaussianState, GaussianState]]:
     """Draw uniform state pairs from a parameter box (same stream as the estimator)."""
@@ -174,14 +186,10 @@ def estimate_contraction_factor(m: AffineGaussianMap, region: ParameterBox,
     if samples < 100:
         raise ValueError("samples must be at least 100")
     rng = np.random.default_rng(rng_seed)
-    mu1, sg1, mu2, sg2 = _sample_pair_params(region, samples, rng)
-    d_pre = distance_from_params(mu1, sg1, mu2, sg2)
+    d_pre, d_post = _distances_under_map(m, *_sample_pair_params(region, samples, rng))
     mask = d_pre >= 1e-12
     if not mask.any():
         raise DegenerateRegionError("all sampled pairs are closer than 1e-12")
-    d_post = distance_from_params(
-        m.mu_scale * mu1 + m.mu_shift, m.sigma_scale * sg1 + m.sigma_shift,
-        m.mu_scale * mu2 + m.mu_shift, m.sigma_scale * sg2 + m.sigma_shift)
     return float(np.max(d_post[mask] / d_pre[mask]))
 
 

@@ -255,6 +255,22 @@ def test_nan_tolerance_exits_2(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["distance", "--a", "0,1e-300", "--b", "0,1e300"],
+    ["iterate", "--map", "0.5,0,0.5,0.5", "--start", "1e300,3"],
+    ["compare", "--start", "1e300,3"],
+    ["audit", "--target", "banach-bounds", "--start", "1e300,3"],
+])
+def test_overflowing_parameters_exit_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "overflow" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_identical_invocations_byte_identical(capsys):
     argv = ["compare", "--seed", "0", "--format", "json"]
     _, first = invoke(capsys, *argv)

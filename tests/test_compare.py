@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
+from qfixpoint import compare
 from qfixpoint.compare import (OUT_OF_SCOPE_NOTES, build_feature_report,
                                gaussian_parameter_metric, gaussian_state_sampler,
                                interference_excess, interference_excess_quadrature)
@@ -9,7 +12,7 @@ from qfixpoint.fuzzy import fuzzy_fixed_point
 from qfixpoint.gaussian import GaussianState, state_distance
 from qfixpoint.solver import (DEFAULT_MAPS, DEFAULT_REGION, AffineGaussianMap,
                               NotConvergedError, analytic_fixed_point, apply_map,
-                              estimate_contraction_factor)
+                              estimate_contraction_factor, sample_state_pairs)
 
 PROBE = (GaussianState(0, 1), GaussianState(1, 1))
 
@@ -76,6 +79,52 @@ def test_feature_report_frameworks_agree(default_report):
 def test_feature_report_condition_audit_clean(default_report):
     # the audited factor comes from the same sampled pairs, so no violations
     assert default_report.fuzzy_report.condition.holds
+
+
+# the constant map estimates k = 0; the last map expands the state distance,
+# so its audit runs at k = 1 - 1e-12 and finds violations and a witness
+@pytest.mark.parametrize("m", [*DEFAULT_MAPS, AffineGaussianMap(0.95, 0.0, 0.3, 0.2)])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_feature_report_condition_audit_equals_generic_audit(m, seed):
+    start = GaussianState(4, 3)
+    report = build_feature_report(m, start, PROBE, rng_seed=seed)
+    got = report.fuzzy_report.condition
+    pairs = sample_state_pairs(DEFAULT_REGION, 2000, np.random.default_rng(seed))
+    want = fuzzy_fixed_point(gaussian_parameter_metric(), lambda s: apply_map(m, s),
+                             report.fuzzy_report.k, start, max_iterations=1,
+                             condition_pairs=pairs, rng_seed=seed).condition
+    assert (got.samples, got.violations, got.holds) == (want.samples, want.violations,
+                                                        want.holds)
+    # the array distances differ from the scalar kernel's by at most a few
+    # ulps, and margins are differences of grades in [0, 1]
+    def close(x):
+        return pytest.approx(x, rel=0, abs=4 * math.ulp(1.0))
+    assert got.min_margin == close(want.min_margin)
+    assert got.max_abs_margin == close(want.max_abs_margin)
+    if m.mu_scale == 0.95:
+        assert got.violations > 0
+        assert {k: got.witness[k] for k in "xyt"} == {k: want.witness[k] for k in "xyt"}
+        assert got.witness["margin"] == close(want.witness["margin"])
+    else:
+        assert got.witness is want.witness is None
+
+
+def test_feature_report_calls_base_distance_once_per_iteration_step(monkeypatch):
+    calls = []
+
+    def counting_metric():
+        fm = gaussian_parameter_metric()
+
+        def counted(x, y):
+            calls.append((x, y))
+            return fm.base_distance(x, y)
+        return dataclasses.replace(fm, base_distance=counted)
+
+    monkeypatch.setattr(compare, "gaussian_parameter_metric", counting_metric)
+    report = build_feature_report(DEFAULT_MAPS[0], GaussianState(4, 3), PROBE,
+                                  condition_samples=500)
+    assert report.fuzzy_report.condition.samples == 500 * 16
+    assert len(calls) == report.fuzzy_report.iterations_used
 
 
 def test_feature_report_notes_are_textual(default_report):

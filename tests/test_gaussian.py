@@ -136,6 +136,17 @@ def test_overlap_quadrature_many_rejects_ragged_or_2d_input(args):
         overlap_quadrature_many(*args)
 
 
+@pytest.mark.parametrize("args", [
+    (0.0, -1.0, 0.0, 1.0),  # used to return [1.]
+    (0.0, 1.0, 0.0, 0.0),   # used to return [nan] with a RuntimeWarning
+    (math.nan, 1.0, 0.0, 1.0),
+    (np.zeros(3), np.array([1.0, math.inf, 1.0]), np.zeros(3), np.ones(3)),
+])
+def test_overlap_quadrature_many_rejects_bad_parameters(args):
+    with pytest.raises(ValueError, match="finite and every sigma positive"):
+        overlap_quadrature_many(*args)
+
+
 def test_overlap_quadrature_many_memory_stays_within_node_budget():
     cfg = QuadratureConfig(panels=16384)
     rng = np.random.default_rng(7)

@@ -43,6 +43,18 @@ def test_parameter_box_validation():
         ParameterBox(-1.0, 1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("bounds", [
+    (0.0, 1.0, 0.3, math.inf),
+    (-math.inf, 1.0, 0.3, 1.0),
+    (0.0, math.nan, 0.3, 1.0),
+    # finite bounds whose span overflows cannot be sampled uniformly either
+    (-1e308, 1e308, 0.3, 1.0),
+])
+def test_parameter_box_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError):
+        ParameterBox(*bounds)
+
+
 def test_apply_map_direct_arithmetic():
     out = apply_map(MAP_HALVING, GaussianState(4, 3))
     assert (out.mu, out.sigma) == (2.0, 2.0)
