@@ -7,9 +7,12 @@ byte-identical output.
 """
 
 import argparse
+import dataclasses
+import functools
 import json
+import math
 import sys
-from json.encoder import INFINITY, _make_iterencode, encode_basestring_ascii
+from itertools import zip_longest
 
 from .compare import build_feature_report, gaussian_parameter_metric, gaussian_state_sampler
 from .fuzzy import (TNormKind, absolute_difference, audit_gv_axioms,
@@ -28,42 +31,54 @@ EXIT_NOT_CONVERGED = 3
 EXIT_AUDIT_FAILED = 4
 
 
+# upper limits of the size options, checked before any work is done
+SIZE_LIMITS = {"--panels": 2**20, "--resolution": 101, "--samples": 10**6,
+               "--points": 4096, "--t-samples": 1024, "--max-iter": 10**6}
+
+
 class CliError(Exception):
     pass
 
 
-# ---------------------------------------------------------------- formatting
+# ---------------------------------------------------------------- rendering
 
-class _Float17Encoder(json.JSONEncoder):
-    """JSON encoder printing every float with 17 significant digits."""
-
-    def iterencode(self, o, _one_shot=False):
-        def floatstr(o, _inf=INFINITY, _neginf=-INFINITY):
-            if o != o or o == _inf or o == _neginf:
-                raise ValueError("non-finite float in report")
-            return format(o, ".17g")
-
-        markers = {} if self.check_circular else None
-        return _make_iterencode(
-            markers, self.default, encode_basestring_ascii, self.indent, floatstr,
-            self.key_separator, self.item_separator, self.sort_keys, self.skipkeys,
-            _one_shot,
-        )(o, 0)
+# keys and scalars repeat across a document, and json.dumps costs microseconds
+_scalar = functools.lru_cache(maxsize=1024, typed=True)(json.dumps)
 
 
-def _dumps(doc) -> str:
-    return json.dumps(doc, cls=_Float17Encoder) + "\n"
+def _json(value) -> str:
+    """JSON text of ``value``; floats carry 17 significant digits."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("non-finite float in report")
+        return format(value, ".17g")
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_json, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_scalar(k)}: {_json(v)}" for k, v in value.items()) + "}"
+    if dataclasses.is_dataclass(value):
+        return _json({f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
+    return _scalar(value)
 
 
 def _g17(x) -> str:
     return format(x, ".17g") if isinstance(x, float) else str(x)
 
 
-def _csv_lines(rows) -> str:
-    return "".join(",".join(_g17(cell) for cell in row) + "\n" for row in rows)
+def _kv_table(pairs) -> str:
+    width = max(len(k) for k, _ in pairs)
+    return "".join(f"{k:<{width}}  {_g17(v)}\n" for k, v in pairs)
 
 
-def _emit(text: str, args) -> None:
+def _render(args, command: str, inputs: dict, result: dict, rows, table: str) -> None:
+    """Write the json document, the csv ``rows`` or the ``table`` text to stdout or --out."""
+    if args.format == "json":
+        text = _json({"command": command, "inputs": inputs, "result": result,
+                      "version": SCHEMA_VERSION}) + "\n"
+    elif args.format == "csv":
+        text = "".join(",".join(map(_g17, row)) + "\n" for row in rows)
+    else:
+        text = table
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -74,92 +89,29 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _document(command: str, inputs: dict, result: dict) -> dict:
-    return {"command": command, "inputs": inputs, "result": result,
-            "version": SCHEMA_VERSION}
-
-
-def _kv_table(pairs) -> str:
-    width = max(len(k) for k, _ in pairs)
-    return "".join(f"{k:<{width}}  {_g17(v)}\n" for k, v in pairs)
-
-
 # ------------------------------------------------------------------- parsing
 
-def _parse_floats(text: str, n: int, flag: str) -> list[float]:
+def _parse(text: str, flag: str, kind):
+    """Build a GaussianState or AffineGaussianMap from comma-separated numbers."""
     parts = text.split(",")
+    n = len(dataclasses.fields(kind))
     if len(parts) != n:
         raise CliError(f"{flag}: expected {n} comma-separated numbers, got {text!r}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise CliError(f"{flag}: not numeric: {text!r}") from None
-
-
-def _parse_state(text: str, flag: str) -> GaussianState:
-    mu, sigma = _parse_floats(text, 2, flag)
     try:
-        return GaussianState(mu, sigma)
+        return kind(*values)
     except ValueError as exc:
         raise CliError(f"{flag}: {exc}") from None
-
-
-def _parse_map(text: str, flag: str) -> AffineGaussianMap:
-    vals = _parse_floats(text, 4, flag)
-    try:
-        return AffineGaussianMap(*vals)
-    except ValueError as exc:
-        raise CliError(f"{flag}: {exc}") from None
-
-
-# ------------------------------------------------------------- serialization
-
-def _state_dict(s: GaussianState) -> dict:
-    return {"mu": s.mu, "sigma": s.sigma}
-
-
-def _map_dict(m: AffineGaussianMap) -> dict:
-    return {"mu_scale": m.mu_scale, "mu_shift": m.mu_shift,
-            "sigma_scale": m.sigma_scale, "sigma_shift": m.sigma_shift}
-
-
-def _iteration_dict(report) -> dict:
-    return {
-        "converged": report.converged,
-        "iterations_used": report.iterations_used,
-        "k_estimate": report.k_estimate,
-        "fixed_point": _state_dict(report.fixed_point),
-        "iterates": [_state_dict(s) for s in report.iterates],
-        "step_distances": list(report.step_distances),
-        "a_priori_bounds": list(report.a_priori_bounds),
-    }
-
-
-def _audit_dict(report) -> dict:
-    return report.to_dict()
-
-
-def _condition_dict(c) -> dict:
-    out = {"samples": c.samples, "violations": c.violations,
-           "min_margin": c.min_margin, "max_abs_margin": c.max_abs_margin,
-           "holds": c.holds}
-    if c.witness is not None:
-        out["witness"] = {k: (_state_dict(v) if isinstance(v, GaussianState) else v)
-                          for k, v in c.witness.items()}
-    return out
-
-
-def _outcome_dict(o) -> dict:
-    return {"framework": o.framework, "fixed_point": _state_dict(o.fixed_point),
-            "iterations_used": o.iterations_used,
-            "final_step_distance": o.final_step_distance, "converged": o.converged}
 
 
 # ------------------------------------------------------------------ commands
 
 def _cmd_distance(args) -> int:
-    a = _parse_state(args.a, "--a")
-    b = _parse_state(args.b, "--b")
+    a = _parse(args.a, "--a", GaussianState)
+    b = _parse(args.b, "--b", GaussianState)
     try:
         cfg = QuadratureConfig(args.half_width, args.panels)
     except ValueError as exc:
@@ -172,46 +124,43 @@ def _cmd_distance(args) -> int:
         result["overlap_quadrature"] = quad
         result["quadrature_discrepancy"] = abs(result["overlap_closed_form"] - quad)
 
-    inputs = {"a": _state_dict(a), "b": _state_dict(b), "quadrature": args.quadrature,
+    inputs = {"a": a, "b": b, "quadrature": args.quadrature,
               "half_width_sigmas": cfg.half_width_sigmas, "panels": cfg.panels}
-    if args.format == "json":
-        _emit(_dumps(_document("distance", inputs, result)), args)
-    elif args.format == "csv":
-        _emit(_csv_lines([("key", "value"), *result.items()]), args)
-    else:
-        _emit(_kv_table(list(result.items())), args)
+    _render(args, "distance", inputs, result, [("key", "value"), *result.items()],
+            _kv_table(result.items()))
     return EXIT_OK
 
 
 def _cmd_iterate(args) -> int:
-    m = _parse_map(args.map, "--map")
-    start = _parse_state(args.start, "--start")
+    m = _parse(args.map, "--map", AffineGaussianMap)
+    start = _parse(args.start, "--start", GaussianState)
     if not (args.tol > 0):
         raise CliError("--tol: tolerance must be positive")
     if args.max_iter < 1:
         raise CliError("--max-iter: must be at least 1")
 
     report = iterate_to_fixed_point(m, start, args.tol, args.max_iter)
-    inputs = {"map": _map_dict(m), "start": _state_dict(start),
-              "tolerance": args.tol, "max_iterations": args.max_iter}
+    inputs = {"map": m, "start": start, "tolerance": args.tol,
+              "max_iterations": args.max_iter}
+    result = {key: getattr(report, key) for key in (
+        "converged", "iterations_used", "k_estimate", "fixed_point", "iterates",
+        "step_distances", "a_priori_bounds")}
 
-    if args.format == "json":
-        _emit(_dumps(_document("iterate", inputs, _iteration_dict(report))), args)
-    elif args.format == "csv":
-        rows = [("n", "mu", "sigma", "step_distance", "a_priori_bound")]
-        for n, it in enumerate(report.iterates):
-            step = report.step_distances[n] if n < len(report.step_distances) else ""
-            bound = report.a_priori_bounds[n] if n < len(report.a_priori_bounds) else ""
-            rows.append((n, it.mu, it.sigma, step, bound))
-        _emit(_csv_lines(rows), args)
-    else:
-        fp = report.fixed_point
-        pairs = [("converged", report.converged),
-                 ("iterations_used", report.iterations_used),
-                 ("fixed_point_mu", fp.mu), ("fixed_point_sigma", fp.sigma),
-                 ("k_estimate", report.k_estimate),
-                 ("final_step_distance", report.step_distances[-1])]
-        _emit(_kv_table(pairs), args)
+    def rows():
+        yield "n", "mu", "sigma", "step_distance", "a_priori_bound"
+        # the last iterate has no step, and bounds are empty when k >= 1
+        trace = zip_longest(report.iterates, report.step_distances,
+                            report.a_priori_bounds, fillvalue="")
+        for n, (it, step, bound) in enumerate(trace):
+            yield n, it.mu, it.sigma, step, bound
+
+    fp = report.fixed_point
+    table = _kv_table([("converged", report.converged),
+                       ("iterations_used", report.iterations_used),
+                       ("fixed_point_mu", fp.mu), ("fixed_point_sigma", fp.sigma),
+                       ("k_estimate", report.k_estimate),
+                       ("final_step_distance", report.step_distances[-1])])
+    _render(args, "iterate", inputs, result, rows(), table)
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
@@ -241,8 +190,8 @@ def _run_audits(args):
         reports = {"state-distance": audit_metric_axioms(args.samples, args.seed)}
         inputs = {"target": args.target, "samples": args.samples, "rng_seed": args.seed}
     else:  # banach-bounds
-        m = _parse_map(args.map, "--map")
-        start = _parse_state(args.start, "--start")
+        m = _parse(args.map, "--map", AffineGaussianMap)
+        start = _parse(args.start, "--start", GaussianState)
         run = iterate_to_fixed_point(m, start, args.tol, args.max_iter)
         if not run.converged:
             raise NotConvergedError("iteration did not converge; no bounds to verify",
@@ -255,8 +204,7 @@ def _run_audits(args):
             reports = {"banach-bounds": verify_banach_bounds(run, k)}
         except ValueError as exc:
             raise CliError(f"--k: {exc}") from None
-        inputs = {"target": args.target, "map": _map_dict(m),
-                  "start": _state_dict(start), "tolerance": args.tol,
+        inputs = {"target": args.target, "map": m, "start": start, "tolerance": args.tol,
                   "max_iterations": args.max_iter, "k": k}
     return inputs, reports
 
@@ -265,81 +213,63 @@ def _cmd_audit(args) -> int:
     inputs, reports = _run_audits(args)
     passed = all(r.passed for r in reports.values())
     result = {"passed": passed,
-              "reports": {name: _audit_dict(r) for name, r in reports.items()}}
+              "reports": {name: r.to_dict() for name, r in reports.items()}}
 
-    if args.format == "json":
-        _emit(_dumps(_document("audit", inputs, result)), args)
-    elif args.format == "csv":
-        rows = [("report", "check", "passed", "checked", "witness")]
-        for name, rep in reports.items():
-            for check in rep.checks:
-                rows.append((name, check.name, check.passed, check.checked,
-                             "" if check.witness is None else json.dumps(check.witness,
-                                                                         default=str)))
-        _emit(_csv_lines(rows), args)
-    else:
-        lines = []
-        for name, rep in reports.items():
-            for check in rep.checks:
-                status = "PASS" if check.passed else "FAIL"
-                lines.append(f"{name}/{check.name}: {status} ({check.checked} checks)\n")
-                if check.witness is not None:
-                    lines.append(f"  witness: {check.witness}\n")
-        lines.append(f"overall: {'PASS' if passed else 'FAIL'}\n")
-        _emit("".join(lines), args)
+    rows, lines = [("report", "check", "passed", "checked", "witness")], []
+    for name, rep in reports.items():
+        for c in rep.checks:
+            witness = "" if c.witness is None else json.dumps(c.witness, default=str)
+            rows.append((name, c.name, c.passed, c.checked, witness))
+            lines.append(f"{name}/{c.name}: {'PASS' if c.passed else 'FAIL'} "
+                         f"({c.checked} checks)\n")
+            if c.witness is not None:
+                lines.append(f"  witness: {c.witness}\n")
+    lines.append(f"overall: {'PASS' if passed else 'FAIL'}\n")
+    _render(args, "audit", inputs, result, rows, "".join(lines))
     return EXIT_OK if passed else EXIT_AUDIT_FAILED
 
 
 def _cmd_compare(args) -> int:
-    m = _parse_map(args.map, "--map")
-    start = _parse_state(args.start, "--start")
-    probe = (_parse_state(args.probe_a, "--probe-a"),
-             _parse_state(args.probe_b, "--probe-b"))
+    m = _parse(args.map, "--map", AffineGaussianMap)
+    start = _parse(args.start, "--start", GaussianState)
+    probe = (_parse(args.probe_a, "--probe-a", GaussianState),
+             _parse(args.probe_b, "--probe-b", GaussianState))
     if not (args.tol > 0):
         raise CliError("--tol: tolerance must be positive")
 
     report = build_feature_report(m, start, probe, args.tol, args.max_iter,
                                   rng_seed=args.seed)
+    c = report.fuzzy_report.condition
+    condition = {"samples": c.samples, "violations": c.violations,
+                 "min_margin": c.min_margin, "max_abs_margin": c.max_abs_margin,
+                 "holds": c.holds}
+    if c.witness is not None:
+        condition["witness"] = c.witness
     result = {
         "interference_excess_quantum": report.interference_excess_quantum,
         "interference_excess_fuzzy": report.interference_excess_fuzzy,
-        "contraction_framework_results": {
-            "quantum": _outcome_dict(report.quantum),
-            "fuzzy": _outcome_dict(report.fuzzy),
-        },
+        "contraction_framework_results": {"quantum": report.quantum,
+                                          "fuzzy": report.fuzzy},
         "agreement_distance": report.agreement_distance,
-        "fuzzy_condition": _condition_dict(report.fuzzy_report.condition),
+        "fuzzy_condition": condition,
         "notes": report.notes,
     }
-    inputs = {"map": _map_dict(m), "start": _state_dict(start),
-              "probe_a": _state_dict(probe[0]), "probe_b": _state_dict(probe[1]),
+    inputs = {"map": m, "start": start, "probe_a": probe[0], "probe_b": probe[1],
               "tolerance": args.tol, "max_iterations": args.max_iter,
               "rng_seed": args.seed}
 
-    if args.format == "json":
-        _emit(_dumps(_document("compare", inputs, result)), args)
-    elif args.format == "csv":
-        rows = [("key", "value"),
-                ("interference_excess_quantum", report.interference_excess_quantum),
-                ("interference_excess_fuzzy", report.interference_excess_fuzzy),
-                ("quantum_fixed_point_mu", report.quantum.fixed_point.mu),
-                ("quantum_fixed_point_sigma", report.quantum.fixed_point.sigma),
-                ("fuzzy_fixed_point_mu", report.fuzzy.fixed_point.mu),
-                ("fuzzy_fixed_point_sigma", report.fuzzy.fixed_point.sigma),
-                ("agreement_distance", report.agreement_distance)]
-        _emit(_csv_lines(rows), args)
-    else:
-        pairs = [("interference_excess_quantum", report.interference_excess_quantum),
-                 ("interference_excess_fuzzy", report.interference_excess_fuzzy),
-                 ("quantum_fixed_point", f"({report.quantum.fixed_point.mu:.12g}, "
-                                         f"{report.quantum.fixed_point.sigma:.12g})"),
-                 ("fuzzy_fixed_point", f"({report.fuzzy.fixed_point.mu:.12g}, "
-                                       f"{report.fuzzy.fixed_point.sigma:.12g})"),
-                 ("agreement_distance", report.agreement_distance),
-                 ("fuzzy_condition_holds", report.fuzzy_report.condition.holds)]
-        text = _kv_table(pairs)
-        text += "".join(f"note[{k}]: {v}\n" for k, v in report.notes.items())
-        _emit(text, args)
+    q, f = report.quantum.fixed_point, report.fuzzy.fixed_point
+    excess = [("interference_excess_quantum", report.interference_excess_quantum),
+              ("interference_excess_fuzzy", report.interference_excess_fuzzy)]
+    agreement = ("agreement_distance", report.agreement_distance)
+    rows = [("key", "value"), *excess, ("quantum_fixed_point_mu", q.mu),
+            ("quantum_fixed_point_sigma", q.sigma), ("fuzzy_fixed_point_mu", f.mu),
+            ("fuzzy_fixed_point_sigma", f.sigma), agreement]
+    table = _kv_table([*excess, ("quantum_fixed_point", f"({q.mu:.12g}, {q.sigma:.12g})"),
+                       ("fuzzy_fixed_point", f"({f.mu:.12g}, {f.sigma:.12g})"), agreement,
+                       ("fuzzy_condition_holds", c.holds)])
+    table += "".join(f"note[{k}]: {v}\n" for k, v in report.notes.items())
+    _render(args, "compare", inputs, result, rows, table)
     return EXIT_OK
 
 
@@ -412,17 +342,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, limit in SIZE_LIMITS.items():
+            if getattr(args, flag[2:].replace("-", "_"), 0) > limit:
+                raise CliError(f"{flag}: must be at most {limit}")
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OverflowError:
         # finite inputs whose squared differences exceed the double range
         print("error: the inputs overflow double-precision arithmetic; use smaller "
               "magnitudes", file=sys.stderr)
+        return EXIT_INVALID
+    except ZeroDivisionError:
+        # widths so small that the sum of their squares underflows to zero
+        print("error: the inputs underflow double-precision arithmetic; use larger "
+              "widths", file=sys.stderr)
         return EXIT_INVALID
     except NotConvergedError as exc:
         print(f"error: {exc}", file=sys.stderr)

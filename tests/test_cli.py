@@ -1,11 +1,17 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfixpoint.cli import main
+from qfixpoint.cli import SIZE_LIMITS, build_parser, main
 
 RUN = [sys.executable, "-m", "qfixpoint.cli"]
 
@@ -271,6 +277,135 @@ def test_overflowing_parameters_exit_2(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["distance", "--a", "0,1e-200", "--b", "0,1e-200"],
+    ["distance", "--a", "0,1e-200", "--b", "1,1e-200"],
+    ["iterate", "--map", "0.5,0,0.5,1e-300", "--start", "0,1e-300"],
+])
+def test_underflowing_widths_exit_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: the inputs underflow double-precision arithmetic; "
+                            "use larger widths\n")
+
+
+def _limit_argv(flag, value):
+    command = {"--panels": ["distance", "--a", "0,1", "--b", "1,1", "--quadrature"],
+               "--resolution": ["audit", "--target", "tnorm"],
+               "--samples": ["audit", "--target", "metric-axioms"],
+               "--points": ["audit", "--target", "gv"],
+               "--t-samples": ["audit", "--target", "gv"],
+               "--max-iter": ["iterate", "--map", "0.99999,0,0.5,0.5", "--start", "4,3"]}
+    return [*command[flag], flag, str(value)]
+
+
+@pytest.mark.parametrize("flag", sorted(SIZE_LIMITS))
+@pytest.mark.parametrize("excess", [1, 10**30])
+def test_size_options_above_their_limit_exit_2(capsys, flag, excess):
+    limit = SIZE_LIMITS[flag]
+    tracemalloc.start()
+    try:
+        code = main(_limit_argv(flag, limit + excess))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {flag}: must be at most {limit}\n"
+    assert peak < 2**20  # rejected before any work
+
+
+def test_size_limits_admit_the_defaults():
+    parser = build_parser()
+    for argv in ("distance --a 0,1 --b 1,1", "iterate --map 0.5,0,0.5,0.5 --start 4,3",
+                 "compare", "audit --target tnorm"):
+        args = parser.parse_args(argv.split())
+        for flag, limit in SIZE_LIMITS.items():
+            assert getattr(args, flag[2:].replace("-", "_"), 0) <= limit
+
+
+# ---------------------------------------------------------------- argv fuzz
+
+BAD = ["nan", "inf", "-inf", "-1", "0", "1e-200", "1e-300", "1e300", "-1e300", "x"]
+HUGE = ["1000001", "99999999999999999999", "1e300"]
+
+
+def _tokens(*good):
+    return st.one_of(st.sampled_from(good), st.sampled_from(BAD))
+
+
+def _sizes(lo, hi):
+    # valid sizes stay small so an example takes milliseconds
+    return st.one_of(st.integers(lo, hi).map(str), st.sampled_from([*BAD, *HUGE]))
+
+
+def _joined(*parts):
+    """Comma-joined values: all drawn from the good ones, or each from all."""
+    good = [st.sampled_from(p) for p in parts]
+    mixed = [_tokens(*p) for p in parts]
+    return st.one_of(st.tuples(*good), st.tuples(*mixed)).map(",".join)
+
+
+STATE = st.one_of(_joined(("0", "1.5", "-2", "4"), ("1", "0.5", "3")),
+                  st.sampled_from(["1", "1,2,3", ""]))
+MAP = _joined(("0.5", "-0.5", "0", "0.9", "1.5"), ("0", "1", "-2"), ("0.5", "0", "0.9", "1"),
+              ("0.5", "1", "0.2"))
+TOL = _tokens("1e-12", "1e-6", "0.1")
+SEED = st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(BAD))
+FLAGS = {
+    "distance": {"--a": STATE, "--b": STATE, "--quadrature": st.just(None),
+                 "--half-width": _tokens("6", "10", "12", "5"),
+                 "--panels": st.sampled_from(["64", "256", "63", "65", "1048578",
+                                              *BAD, *HUGE])},
+    "iterate": {"--map": MAP, "--start": STATE, "--tol": TOL, "--max-iter": _sizes(1, 200)},
+    "audit": {"--target": st.sampled_from(["tnorm", "gv", "metric-axioms",
+                                           "banach-bounds", "bogus"]),
+              "--kind": st.sampled_from(["minimum", "product", "lukasiewicz", "all"]),
+              "--carrier": st.sampled_from(["line", "gaussian"]),
+              "--resolution": _sizes(5, 21), "--points": _sizes(10, 64),
+              "--t-samples": _sizes(5, 16), "--samples": _sizes(1, 2000), "--seed": SEED,
+              "--map": MAP, "--start": STATE, "--tol": TOL, "--max-iter": _sizes(1, 200),
+              "--k": _tokens("0.1", "0.5", "0.9", "1", "1.5")},
+    "compare": {"--map": MAP, "--start": STATE, "--probe-a": STATE, "--probe-b": STATE,
+                "--tol": TOL, "--max-iter": _sizes(1, 200), "--seed": SEED},
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command, "--format", draw(st.sampled_from(["json", "csv", "table"]))]
+    required = {"distance": ("--a", "--b"), "iterate": ("--map", "--start"),
+                "audit": ("--target",)}.get(command, ())
+    for flag, values in FLAGS[command].items():
+        if flag in required or draw(st.booleans()):
+            value = draw(values)
+            argv.append(flag if value is None else f"{flag}={value}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+def test_every_argv_ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the argv
+            assert exc.code == 2
+            return
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err
+    if err:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_identical_invocations_byte_identical(capsys):
     argv = ["compare", "--seed", "0", "--format", "json"]
     _, first = invoke(capsys, *argv)
@@ -286,3 +421,93 @@ def test_exit_codes_end_to_end():
                          capture_output=True)
     assert bad.returncode == 2
     assert b"sigma must be positive" in bad.stderr
+
+
+# ------------------------------------------------------------- pinned bytes
+
+# sha256 of f"{exit code}\0{stdout}\0{stderr}" for each argv + "--format FMT",
+# taken before the output layer was rewritten (numpy 2.4.6, x86-64 Linux); a
+# different libm or numpy may move the last printed digit of some floats
+GOLDEN_ARGVS = {
+    "distance": ["distance", "--a", "0,1", "--b", "2,1"],
+    "distance-quadrature": ["distance", "--a", "0,1", "--b", "0.5,2", "--quadrature"],
+    "iterate": ["iterate", "--map", "0.5,0,0.5,0.5", "--start", "4,3"],
+    "iterate-constant": ["iterate", "--map", "0,0,0,1", "--start", "9,9"],
+    "iterate-budget": ["iterate", "--map", "0.99999,0,0.5,0.5", "--start", "4,3",
+                       "--max-iter", "10"],
+    "audit-tnorm": ["audit", "--target", "tnorm"],
+    "audit-gv-line": ["audit", "--target", "gv", "--carrier", "line"],
+    "audit-gv-gaussian": ["audit", "--target", "gv", "--carrier", "gaussian"],
+    "audit-metric-axioms": ["audit", "--target", "metric-axioms"],
+    "audit-banach": ["audit", "--target", "banach-bounds"],
+    "audit-banach-k0.1": ["audit", "--target", "banach-bounds", "--k", "0.1"],
+    "audit-banach-k1.5": ["audit", "--target", "banach-bounds", "--k", "1.5"],
+    "compare": ["compare"],
+    "compare-seed3": ["compare", "--map=0.8,0.1,0.8,0.9", "--seed", "3"],
+    "compare-witness": ["compare", "--map", "0.95,0,0.3,0.2"],
+    "negative-sigma": ["distance", "--a", "0,-1", "--b", "0,1"],
+    "nan-tolerance": ["iterate", "--map", "0.5,0,0.5,0.5", "--start", "4,3", "--tol", "nan"],
+}
+
+GOLDEN_DIGESTS = {
+    "distance-json": "e94a98b6b44ea0d4aa67ec5c5d48ebc161e431cb346e18edd943be4cc7fddf86",
+    "distance-csv": "279f34bcb026bcf985f04539d2725568e20d009bc875e7ff7c20458d22d8342c",
+    "distance-table": "65d47f73170e9a3f04e330f87e2c219cdaab6634fde4eb57d40989b54f29abe8",
+    "distance-quadrature-json": "0af44ee13e376d212120f7a61c04508bbcab59b424985fed72fe5e04900bb6b4",
+    "distance-quadrature-csv": "0dad485679948e70d30c3bef08be397080c4495a997f82d6b78365f95a4a609d",
+    "distance-quadrature-table": "e0bd32a44eaf9b7c524745232c8443ac3afd0acb5dd7d20bc04682df8c786bf5",
+    "iterate-json": "feae2ad44e83a3ed5881821f0fc08878b288a269ccd9bbbf4e6088994731212b",
+    "iterate-csv": "7641de3b1ac005da6c1abfa3a64c0c476959c96f2f1b87cc88d9152f2ade2c13",
+    "iterate-table": "c8a7a45c2f0c288c9147e7e947697e84885133fb012f851cc9900eebabd80ea0",
+    "iterate-constant-json": "4851920ed5cb547343f882ff3b73cb0842032b47aedbe9dfc3292b3935a124f0",
+    "iterate-constant-csv": "801ae7c7ad4d737abff75eab5f89cb82d3f2631584cfe47f8de3527936b3aef0",
+    "iterate-constant-table": "fade6db10296717590c1f0840d6fba8685d0836e81343c3b0af65457d44c4689",
+    "iterate-budget-json": "27599d9b4aedab8a118252586dcf8813af7c6ea2bfce8d0ec2123a139306e108",
+    "iterate-budget-csv": "5cac88fcfa17873fff140203388a369e6f4db44638bb164f14cbf3592a254b95",
+    "iterate-budget-table": "7d34b112631532c22593c8c3a64e359bb037e0a799fefff3325f7cdce6858e1f",
+    "audit-tnorm-json": "8b596df213b187014438e1abd7cf9e353761e877323c460ca390e19919603a17",
+    "audit-tnorm-csv": "f226aa3a1d0feb2d3bc97f06477fb96a0af81110afc57e0fc6eb3a744a36092a",
+    "audit-tnorm-table": "e7aac4b59db44798a3a1f07dd5155a433d24797457c41207a86ac37e088aa438",
+    "audit-gv-line-json": "8fd60f6612e1162d900a8e8eb4cac0c7f611a946ea42199cbdb98d8b2409189c",
+    "audit-gv-line-csv": "84e7682859fe86c530f7b27b9b797e948699d6836b01968a0fa50794ae33a470",
+    "audit-gv-line-table": "aa450b453250274a002a25e22e670ddb163fe82b9eec1e552101e9aa94c466b7",
+    "audit-gv-gaussian-json": "e76f2e030a03bb3783901fbdb2e7c18e906bb8ded2fe5b166786dcee479b456a",
+    "audit-gv-gaussian-csv": "11afa83d42c6efb08e9e16217d8274e98f23b230daa744e8563c255bb2ff000b",
+    "audit-gv-gaussian-table": "e1b0d241314801d987c12e79d25e861aa63a0c05235e500fb7596524110e38a4",
+    "audit-metric-axioms-json": "7edb6a9fe38114de4a0294915dcf0cdcc52e050ae52c93a387be88261cb2ea8a",
+    "audit-metric-axioms-csv": "e7f770847ff8abe44e02d83d3ea97ed2268ce66c691ea8ec0655ef5a3e8bd77c",
+    "audit-metric-axioms-table": "063ee987ba330d1f4a12168fe74f6881c761d0f78faf9e10f4a6143537b15418",
+    "audit-banach-json": "45f92d988b33bed65cbd0b813396f54b8f33a4b5da41f0b3a1402e30af410855",
+    "audit-banach-csv": "665e480daf66326e0f03f64f3c84eec30348fcfa59898a3fc21e7f759cbec8c3",
+    "audit-banach-table": "fb81d44af60cc8459b281cd488dd0c9e8a3f4458b3b16a94936c1fca5efb5f9a",
+    "audit-banach-k0.1-json": "fecd109406183151942a07e5fabbb4497072495d07747cf97725dbcc63843f39",
+    "audit-banach-k0.1-csv": "b7dd297ccfdebb3bc1dd044418da5b676913ae37dc0c0dfcf2db381bc6ffbf26",
+    "audit-banach-k0.1-table": "ac84866761a54004498b032e7ccd6b4141079ac6433f31e3030f75d1975ce04d",
+    "audit-banach-k1.5-json": "1c068c04551ecd439386df6a756b4f61289cf5a44a55211a058ce0f5630d520c",
+    "audit-banach-k1.5-csv": "1c068c04551ecd439386df6a756b4f61289cf5a44a55211a058ce0f5630d520c",
+    "audit-banach-k1.5-table": "1c068c04551ecd439386df6a756b4f61289cf5a44a55211a058ce0f5630d520c",
+    "compare-json": "c2ccdc44a0650fbad7751bbd17d01f2bc86a783823d908c8eb477d1adb4ab646",
+    "compare-csv": "ab89259e72519416a996df5a9e36882fc3a15ed918d415cce3c21d36a2570b4d",
+    "compare-table": "e135cb431375db6ccd32977ecbc7ffc6b9c7c9611cdce431602ab1adfc45300f",
+    "compare-seed3-json": "e6d792ade219c06fb2dabd01feb18369fe7b88776f4cc7e1ceff3558feec133a",
+    "compare-seed3-csv": "e810645f8a8139b9e4c0e398094958c40960cdf8518acc98b879ecc6ba712dae",
+    "compare-seed3-table": "5fd4de8432d84d10d30ecb0ad3352b0f851b45fb9134adf3d0e663037c5ff5c6",
+    "compare-witness-json": "c632928bbbd1c6a1bdc8faacc44d2662c3823a2dcad0f5c015077faeac61f84a",
+    "compare-witness-csv": "f9301211fbd7e9f230984a0e93aa02acc0eda4009f297394a032e9053d07ae37",
+    "compare-witness-table": "f4f645dcbb9061c9cf8cc44cc6c49b016a802a37bdcf82a3d7f15f2277877d0c",
+    "negative-sigma-json": "bfa39869f8e463ae20f25bb343376b40c6f60c43a1f5b97efbf54ba85fccbc6e",
+    "negative-sigma-csv": "bfa39869f8e463ae20f25bb343376b40c6f60c43a1f5b97efbf54ba85fccbc6e",
+    "negative-sigma-table": "bfa39869f8e463ae20f25bb343376b40c6f60c43a1f5b97efbf54ba85fccbc6e",
+    "nan-tolerance-json": "4431f3560eec6f47b8ccb05e7380349c495c1693b1e1035477ac9383a927da0a",
+    "nan-tolerance-csv": "4431f3560eec6f47b8ccb05e7380349c495c1693b1e1035477ac9383a927da0a",
+    "nan-tolerance-table": "4431f3560eec6f47b8ccb05e7380349c495c1693b1e1035477ac9383a927da0a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS))
+def test_output_bytes_are_pinned(capsys, case):
+    name, fmt = case.rsplit("-", 1)
+    code = main([*GOLDEN_ARGVS[name], "--format", fmt])
+    captured = capsys.readouterr()
+    blob = f"{code}\0{captured.out}\0{captured.err}".encode()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_DIGESTS[case]
