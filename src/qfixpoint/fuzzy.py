@@ -15,6 +15,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .reports import AuditCheck, AxiomAuditReport
+from .solver import _iterate
 
 __all__ = [
     "TNormKind",
@@ -314,66 +315,43 @@ def _condition_audit(d, d_f, k: float, rng: np.random.Generator, pair_at: Callab
 
 def fuzzy_fixed_point(fm: FuzzyMetric, f: Callable, k: float, start,
                       tolerance: float = 1e-12, max_iterations: int = 10000, *,
-                      condition: GSConditionAudit | None = None,
                       condition_pairs=None, point_sampler: Callable | None = None,
                       pair_samples: int = 200, t_samples: int = 16,
                       rng_seed: int = 0) -> FuzzyFixedPointReport:
-    """Audit the fuzzy contraction condition, then iterate f to a fixed point.
+    """Iterate f to a fixed point, and audit the fuzzy contraction condition.
 
-    The condition M(f(x), f(y), k*t) >= M(x, y, t) is sampled on
-    ``condition_pairs`` (or on pairs drawn via ``point_sampler``) with t
-    log-uniform over T_RANGE; violations are reported but do not stop the
-    iteration, and the witness is the first violation in pair-major order.
-    A caller that has already audited the condition passes the audit as
-    ``condition`` instead of the pairs.  Iteration proceeds until
-    consecutive iterates are within ``tolerance`` in the base distance.
+    The iteration is the solver's Picard loop in the base distance, run
+    until consecutive iterates are within ``tolerance``.  The condition
+    M(f(x), f(y), k*t) >= M(x, y, t) is sampled on ``condition_pairs`` (or
+    on pairs drawn via ``point_sampler``) with t log-uniform over T_RANGE;
+    violations are reported but do not stop the iteration, and the witness
+    is the first violation in pair-major order.
 
-    ``fm.base_distance`` is called 2 * len(pairs) times by the audit, since
-    d(x, y) and d(f(x), f(y)) do not depend on t, plus once per iteration;
-    with ``condition`` given, only once per iteration.
+    ``fm.base_distance`` is called once per iteration step, plus
+    2 * len(pairs) times by the audit, since d(x, y) and d(f(x), f(y)) do
+    not depend on t.
     """
     if not 0.0 < k < 1.0:
         raise ValueError("k must lie in (0, 1)")
-    if not (tolerance > 0.0):
-        raise ValueError("tolerance must be positive")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be at least 1")
-
-    if condition is None:
-        rng = np.random.default_rng(rng_seed)
-        if condition_pairs is None:
-            if point_sampler is None:
-                raise ValueError("provide condition_pairs or a point_sampler")
-            condition_pairs = [(point_sampler(rng), point_sampler(rng))
-                               for _ in range(pair_samples)]
-        pairs = list(condition_pairs)
-        d_f = _distances(fm, [(f(x), f(y)) for x, y in pairs])
-        condition = _condition_audit(_distances(fm, pairs), d_f, k, rng, pairs.__getitem__,
-                                     t_samples)
-    elif condition_pairs is not None or point_sampler is not None:
-        raise ValueError("provide either condition or the pairs to audit, not both")
-
-    iterates = [start]
-    steps: list[float] = []
-    current = start
-    converged = False
-    for _ in range(max_iterations):
-        nxt = f(current)
-        steps.append(float(fm.base_distance(nxt, current)))
-        iterates.append(nxt)
-        current = nxt
-        if steps[-1] <= tolerance:
-            converged = True
-            break
-
+    rng = np.random.default_rng(rng_seed)
+    if condition_pairs is None:
+        if point_sampler is None:
+            raise ValueError("provide condition_pairs or a point_sampler")
+        condition_pairs = [(point_sampler(rng), point_sampler(rng))
+                           for _ in range(pair_samples)]
+    pairs = list(condition_pairs)
+    iterates, steps, converged = _iterate(f, fm.base_distance, start, tolerance,
+                                          max_iterations)
+    d_f = _distances(fm, [(f(x), f(y)) for x, y in pairs])
     return FuzzyFixedPointReport(
         iterates=tuple(iterates),
         step_distances=tuple(steps),
-        fixed_point=current,
+        fixed_point=iterates[-1],
         converged=converged,
         iterations_used=len(steps),
         k=k,
-        condition=condition,
+        condition=_condition_audit(_distances(fm, pairs), d_f, k, rng, pairs.__getitem__,
+                                   t_samples),
     )
 
 

@@ -90,7 +90,7 @@ def overlap_closed_form(a: GaussianState, b: GaussianState) -> float:
     Symmetric in its arguments, always in (0, 1], and equal to 1 exactly
     when the two parameter pairs coincide.
     """
-    ss = a.sigma * a.sigma + b.sigma * b.sigma
+    ss = _sigma_sq_sum(a, b)
     # grouping keeps the result bitwise symmetric under argument swap
     pref = math.sqrt(2.0 * (a.sigma * b.sigma) / ss)
     return pref * math.exp(-((a.mu - b.mu) ** 2) / (2.0 * ss))
@@ -177,31 +177,47 @@ def overlap_quadrature(a: GaussianState, b: GaussianState,
     return float(out[0])
 
 
+def _sigma_sq_sum(a: GaussianState, b: GaussianState) -> float:
+    """sigma_a**2 + sigma_b**2, refused where twice it overflows.
+
+    Both closed forms divide the squared centre separation by twice this
+    sum; at inf that exponent rounds to 0, and distinct states would come
+    out at distance 0 with overlap 1 or NaN.
+    """
+    ss = a.sigma * a.sigma + b.sigma * b.sigma
+    if 2.0 * ss == math.inf:
+        raise OverflowError("sigma_a**2 + sigma_b**2 overflows")
+    return ss
+
+
+def _distance(xp, dmu, dsigma, ss):
+    """sqrt(2 - 2*<a|b>) from mu_a - mu_b, sigma_a - sigma_b and sigma_a**2 + sigma_b**2.
+
+    ``xp`` is ``math`` for floats and ``numpy`` for arrays.  Both terms of
+    1 - <a|b> = (1 - pref) + pref*(1 - exp(-u)) are nonnegative (v <= 1 in
+    floating point), so no cancellation and no clamp are needed.
+    """
+    u = dmu**2 / (2.0 * ss)
+    v = dsigma**2 / ss
+    p = xp.sqrt(1.0 - v)
+    return xp.sqrt(2.0 * (v / (1.0 + p) - p * xp.expm1(-u)))
+
+
 def state_distance(a: GaussianState, b: GaussianState) -> float:
     """L2 distance between two states, d = sqrt(2 - 2*<a|b>).
 
     Evaluated through an algebraically equivalent cancellation-free form so
     that distances far below sqrt(machine epsilon) are still exact to a few
     ulps; the naive 2 - 2*overlap subtraction cannot resolve below ~1e-8.
-    Zero exactly iff the parameter pairs are identical.
+    Zero exactly iff the parameter pairs are identical.  Raises
+    OverflowError where sigma_a**2 + sigma_b**2 leaves the double range.
     """
-    ss = a.sigma * a.sigma + b.sigma * b.sigma
-    u = (a.mu - b.mu) ** 2 / (2.0 * ss)
-    v = (a.sigma - b.sigma) ** 2 / ss
-    p = math.sqrt(1.0 - v)
-    # 1 - <a|b> = (1 - pref) + pref*(1 - exp(-u)), both terms nonnegative
-    half = v / (1.0 + p) - p * math.expm1(-u)
-    return math.sqrt(max(0.0, 2.0 * half))
+    return _distance(math, a.mu - b.mu, a.sigma - b.sigma, _sigma_sq_sum(a, b))
 
 
 def distance_from_params(mu1, sigma1, mu2, sigma2):
-    """Vectorized :func:`state_distance` on raw parameter arrays."""
-    ss = sigma1 * sigma1 + sigma2 * sigma2
-    u = (mu1 - mu2) ** 2 / (2.0 * ss)
-    v = (sigma1 - sigma2) ** 2 / ss
-    p = np.sqrt(1.0 - v)
-    half = v / (1.0 + p) - p * np.expm1(-u)
-    return np.sqrt(2.0 * half)
+    """Vectorized :func:`state_distance` on raw parameter arrays (no overflow check)."""
+    return _distance(np, mu1 - mu2, sigma1 - sigma2, sigma1 * sigma1 + sigma2 * sigma2)
 
 
 def audit_metric_axioms(samples: int = 10000, rng_seed: int = 0,

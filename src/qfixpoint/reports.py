@@ -2,6 +2,8 @@
 
 from dataclasses import asdict, dataclass, field
 
+__all__ = ["AuditCheck", "AxiomAuditReport"]
+
 
 @dataclass(frozen=True)
 class AuditCheck:

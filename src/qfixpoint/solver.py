@@ -8,12 +8,14 @@ The iteration records per-step state distances, an empirical contraction
 factor, and the geometric error bounds that certify convergence.
 """
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .gaussian import GaussianState, distance_from_params, state_distance
+from .gaussian import SQRT2, GaussianState, distance_from_params, state_distance
 from .reports import AuditCheck, AxiomAuditReport
 
 __all__ = [
@@ -193,6 +195,30 @@ def estimate_contraction_factor(m: AffineGaussianMap, region: ParameterBox,
     return float(np.max(d_post[mask] / d_pre[mask]))
 
 
+def _iterate(step: Callable, distance: Callable, start, tolerance: float,
+             max_iterations: int) -> tuple[list, list[float], bool]:
+    """Picard iteration x_{n+1} = step(x_n) until distance(x_{n+1}, x_n) <= tolerance.
+
+    Returns the iterates (start first), the step distances and whether the
+    tolerance was met within ``max_iterations`` steps.
+    """
+    if not (tolerance > 0.0):
+        raise ValueError("tolerance must be positive")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
+    iterates = [start]
+    steps: list[float] = []
+    current = start
+    for _ in range(max_iterations):
+        nxt = step(current)
+        steps.append(float(distance(nxt, current)))
+        iterates.append(nxt)
+        current = nxt
+        if steps[-1] <= tolerance:
+            return iterates, steps, True
+    return iterates, steps, False
+
+
 def iterate_to_fixed_point(m: AffineGaussianMap, start: GaussianState,
                            tolerance: float = DEFAULT_TOLERANCE,
                            max_iterations: int = DEFAULT_MAX_ITERATIONS) -> FixedPointReport:
@@ -200,25 +226,14 @@ def iterate_to_fixed_point(m: AffineGaussianMap, start: GaussianState,
 
     Stops on the a-posteriori criterion d(iterate_{n+1}, iterate_n) <=
     tolerance; ``converged`` records whether that happened within the budget.
-    The report always contains the full trace.
+    The report always contains the full trace.  A tolerance of sqrt(2) or
+    more is refused: no state distance exceeds sqrt(2), so the first step
+    would pass for convergence.
     """
-    if not (tolerance > 0.0):
-        raise ValueError("tolerance must be positive")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be at least 1")
-
-    iterates = [start]
-    steps: list[float] = []
-    current = start
-    converged = False
-    for _ in range(max_iterations):
-        nxt = apply_map(m, current)
-        steps.append(state_distance(nxt, current))
-        iterates.append(nxt)
-        current = nxt
-        if steps[-1] <= tolerance:
-            converged = True
-            break
+    if tolerance >= SQRT2:
+        raise ValueError("tolerance must be below sqrt(2), the largest state distance")
+    iterates, steps, converged = _iterate(functools.partial(apply_map, m), state_distance,
+                                          start, tolerance, max_iterations)
 
     ratios = [steps[n] / steps[n - 1] for n in range(1, len(steps))
               if steps[n - 1] > RATIO_FLOOR]
@@ -234,7 +249,7 @@ def iterate_to_fixed_point(m: AffineGaussianMap, start: GaussianState,
         step_distances=tuple(steps),
         k_estimate=k,
         a_priori_bounds=bounds,
-        fixed_point=current,
+        fixed_point=iterates[-1],
         converged=converged,
         iterations_used=len(steps),
     )

@@ -250,6 +250,10 @@ def test_out_to_unwritable_path_exits_2(tmp_path, capsys):
      "--max-iter", "50"],
     ["compare", "--tol", "nan"],
     ["audit", "--target", "banach-bounds", "--tol", "nan"],
+    # no state distance exceeds sqrt(2), so such a tolerance passes every step
+    *([*command, "--tol", tol] for tol in ("inf", "1.5") for command in (
+        ["iterate", "--map", "0.5,0,0.5,0.5", "--start", "4,3"], ["compare"],
+        ["audit", "--target", "banach-bounds"])),
 ])
 def test_nan_tolerance_exits_2(capsys, argv):
     code = main(argv)
@@ -257,7 +261,8 @@ def test_nan_tolerance_exits_2(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "tolerance must be positive" in captured.err
+    assert ("tolerance must be positive" if "nan" in argv
+            else "tolerance must be below sqrt(2)") in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -266,6 +271,12 @@ def test_nan_tolerance_exits_2(capsys, argv):
     ["iterate", "--map", "0.5,0,0.5,0.5", "--start", "1e300,3"],
     ["compare", "--start", "1e300,3"],
     ["audit", "--target", "banach-bounds", "--start", "1e300,3"],
+    # 2*(sigma_a**2 + sigma_b**2) overflows, which would put these distinct
+    # states at distance 0
+    *(["distance", *pair, "--format", fmt] for fmt in ("table", "csv") for pair in (
+        ["--a", "0,1e160", "--b", "5e150,1e160"],
+        ["--a", "0,1e160", "--b", "0,1.0000001e160"],
+        ["--a", "0,0.8e154", "--b", "1e154,0.8e154"])),
 ])
 def test_overflowing_parameters_exit_2(capsys, argv):
     code = main(argv)

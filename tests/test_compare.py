@@ -6,13 +6,13 @@ import pytest
 
 from qfixpoint import compare
 from qfixpoint.compare import (OUT_OF_SCOPE_NOTES, build_feature_report,
-                               gaussian_parameter_metric, gaussian_state_sampler,
+                               gaussian_parameter_metric,
                                interference_excess, interference_excess_quadrature)
 from qfixpoint.fuzzy import fuzzy_fixed_point
 from qfixpoint.gaussian import GaussianState, state_distance
-from qfixpoint.solver import (DEFAULT_MAPS, DEFAULT_REGION, AffineGaussianMap,
-                              NotConvergedError, analytic_fixed_point, apply_map,
-                              estimate_contraction_factor, sample_state_pairs)
+from qfixpoint.solver import (DEFAULT_MAPS, DEFAULT_REGION, DEFAULT_STARTS,
+                              AffineGaussianMap, NotConvergedError, analytic_fixed_point,
+                              apply_map, iterate_to_fixed_point, sample_state_pairs)
 
 PROBE = (GaussianState(0, 1), GaussianState(1, 1))
 
@@ -67,7 +67,7 @@ def test_feature_report_interference_row(default_report):
 
 
 def test_feature_report_frameworks_agree(default_report):
-    q, f = default_report.contraction_framework_results
+    q, f = default_report.quantum, default_report.fuzzy
     assert q.framework == "quantum" and f.framework == "fuzzy"
     assert q.converged and f.converged
     assert default_report.agreement_distance <= 1e-11
@@ -109,7 +109,7 @@ def test_feature_report_condition_audit_equals_generic_audit(m, seed):
         assert got.witness is want.witness is None
 
 
-def test_feature_report_calls_base_distance_once_per_iteration_step(monkeypatch):
+def test_feature_report_runs_the_iteration_once(monkeypatch):
     calls = []
 
     def counting_metric():
@@ -123,8 +123,13 @@ def test_feature_report_calls_base_distance_once_per_iteration_step(monkeypatch)
     monkeypatch.setattr(compare, "gaussian_parameter_metric", counting_metric)
     report = build_feature_report(DEFAULT_MAPS[0], GaussianState(4, 3), PROBE,
                                   condition_samples=500)
+    assert calls == []
     assert report.fuzzy_report.condition.samples == 500 * 16
-    assert len(calls) == report.fuzzy_report.iterations_used
+    q, f = report.quantum_report, report.fuzzy_report
+    assert (f.iterates, f.step_distances, f.fixed_point, f.converged, f.iterations_used) == (
+        q.iterates, q.step_distances, q.fixed_point, q.converged, q.iterations_used)
+    assert dataclasses.replace(report.fuzzy, framework="quantum") == report.quantum
+    assert report.agreement_distance == 0.0
 
 
 def test_feature_report_notes_are_textual(default_report):
@@ -153,14 +158,23 @@ def test_build_feature_report_propagates_non_convergence():
         build_feature_report(slow, GaussianState(4, 3), PROBE, max_iterations=10)
 
 
+CARRIER_MAPS = (*DEFAULT_MAPS, AffineGaussianMap(0.99, 0.0, 0.99, 0.05),
+                AffineGaussianMap(0.95, 0.0, 0.3, 0.2))
+
+
 def test_fuzzy_iteration_on_state_carrier_matches_quantum():
-    # driving the fuzzy machinery with the state distance reproduces the
-    # quantum fixed point for the same underlying map
-    m = DEFAULT_MAPS[0]
-    k = estimate_contraction_factor(m, DEFAULT_REGION, 1000, 0)
-    report = fuzzy_fixed_point(gaussian_parameter_metric(),
-                               lambda s: apply_map(m, s), k,
-                               GaussianState(4, 3), 1e-12, 10000,
-                               point_sampler=gaussian_state_sampler())
-    assert report.converged
-    assert state_distance(report.fixed_point, analytic_fixed_point(m)) < 1e-10
+    # the fuzzy contraction in the state distance is the quantum iteration:
+    # same iterates and step distances, bit for bit, which is what lets
+    # build_feature_report take its fuzzy trace from the quantum one
+    for m in CARRIER_MAPS:
+        for start in DEFAULT_STARTS:
+            quantum = iterate_to_fixed_point(m, start)
+            fuzzy = fuzzy_fixed_point(gaussian_parameter_metric(),
+                                      lambda s: apply_map(m, s), 0.5, start,
+                                      condition_pairs=[(start, start)])
+            assert fuzzy.iterates == quantum.iterates, (m, start)
+            assert fuzzy.step_distances == quantum.step_distances, (m, start)
+            assert (fuzzy.converged, fuzzy.iterations_used) == (
+                quantum.converged, quantum.iterations_used)
+            if m in DEFAULT_MAPS:
+                assert state_distance(fuzzy.fixed_point, analytic_fixed_point(m)) < 1e-10

@@ -200,19 +200,6 @@ def test_fuzzy_fixed_point_accepts_explicit_pairs():
     assert report.condition.holds
 
 
-def test_fuzzy_fixed_point_takes_an_audit_computed_elsewhere():
-    pairs = [(0.0, 1.0), (2.0, -3.0)]
-    audited = fuzzy_fixed_point(LINE, lambda x: x / 2, 0.5, 4.0, condition_pairs=pairs)
-    calls, fm = _counting(absolute_difference)
-    report = fuzzy_fixed_point(fm, lambda x: x / 2, 0.5, 4.0,
-                               condition=audited.condition)
-    assert report == audited
-    assert len(calls) == report.iterations_used
-    with pytest.raises(ValueError, match="not both"):
-        fuzzy_fixed_point(LINE, lambda x: x / 2, 0.5, 4.0, condition=audited.condition,
-                          condition_pairs=pairs)
-
-
 def test_fuzzy_fixed_point_rejects_nan_tolerance():
     with pytest.raises(ValueError, match="tolerance must be positive"):
         fuzzy_fixed_point(LINE, lambda x: x / 2, 0.5, 1.0, math.nan,
