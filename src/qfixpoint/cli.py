@@ -240,7 +240,8 @@ def _cmd_compare(args) -> int:
     report = build_feature_report(m, start, probe, args.tol, args.max_iter,
                                   rng_seed=args.seed)
     c = report.fuzzy_report.condition
-    condition = {"samples": c.samples, "violations": c.violations,
+    condition = {"k_estimate": report.k_estimate, "k": report.fuzzy_report.k,
+                 "samples": c.samples, "violations": c.violations,
                  "min_margin": c.min_margin, "max_abs_margin": c.max_abs_margin,
                  "holds": c.holds}
     if c.witness is not None:

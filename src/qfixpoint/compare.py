@@ -112,6 +112,7 @@ class FeatureReport:
     quantum: ContractionOutcome
     fuzzy: ContractionOutcome
     agreement_distance: float
+    k_estimate: float  # estimated on the region, unclamped; fuzzy_report.k is the k audited
     notes: dict[str, str]
     quantum_report: FixedPointReport
     fuzzy_report: FuzzyFixedPointReport
@@ -158,6 +159,7 @@ def build_feature_report(m: AffineGaussianMap, start: GaussianState,
         quantum=outcome,
         fuzzy=replace(outcome, framework="fuzzy"),
         agreement_distance=0.0,
+        k_estimate=k_raw,
         notes=dict(OUT_OF_SCOPE_NOTES),
         quantum_report=quantum,
         fuzzy_report=FuzzyFixedPointReport(

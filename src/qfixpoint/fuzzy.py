@@ -14,7 +14,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .reports import AuditCheck, AxiomAuditReport
+from .reports import AuditCheck, AxiomAuditReport, _first, check
 from .solver import _iterate
 
 __all__ = [
@@ -81,34 +81,20 @@ def audit_tnorm_axioms(tnorm, grid_resolution: int = 21) -> AxiomAuditReport:
     y = g[None, :, None]
     z = g[None, None, :]
 
-    checks = []
-
-    diff = np.abs(fn(x[:, :, 0], y[:, :, 0]) - fn(y[:, :, 0], x[:, :, 0]))
-    checks.append(_grid_check("commutativity", diff, g, npairs=2))
-
-    diff = np.abs(fn(x, fn(y, z)) - fn(fn(x, y), z))
-    checks.append(_grid_check("associativity", diff, g, npairs=3))
-
-    # along the sorted grid, T(x, .) must be nondecreasing
     vals = fn(x[:, :, 0], y[:, :, 0])
-    drop = np.diff(vals, axis=1)
-    witness = None
-    bad = np.argwhere(drop < -AUDIT_SLACK)
-    if bad.size:
-        i, j = bad[0]
-        witness = {"x": float(g[i]), "y": float(g[j]), "z": float(g[j + 1]),
-                   "t_xy": float(vals[i, j]), "t_xz": float(vals[i, j + 1])}
-    checks.append(AuditCheck(name="monotonicity", passed=not bad.size,
-                             checked=vals.size - grid_resolution, witness=witness))
-
-    diff = np.abs(fn(g, np.ones_like(g)) - g)
-    checks.append(_grid_check("identity_element", diff, g, npairs=1))
-
-    return AxiomAuditReport(target="tnorm-axioms",
-                            passed=all(c.passed for c in checks), checks=tuple(checks))
+    return AxiomAuditReport(target="tnorm-axioms", checks=(
+        _grid_check("commutativity", np.abs(vals - fn(y[:, :, 0], x[:, :, 0])), g),
+        _grid_check("associativity", np.abs(fn(x, fn(y, z)) - fn(fn(x, y), z)), g),
+        # along the sorted grid, T(x, .) must be nondecreasing
+        check("monotonicity", np.diff(vals, axis=1) < -AUDIT_SLACK,
+              lambda i, j: {"x": float(g[i]), "y": float(g[j]), "z": float(g[j + 1]),
+                            "t_xy": float(vals[i, j]), "t_xz": float(vals[i, j + 1])}),
+        _grid_check("identity_element", np.abs(fn(g, np.ones_like(g)) - g), g),
+    ))
 
 
-def _grid_check(name, diff, g, npairs):
+def _grid_check(name, diff, g):
+    """Check diff <= AUDIT_SLACK on a grid; the witness is the worst grid point."""
     idx = np.unravel_index(int(np.argmax(diff)), diff.shape)
     worst = float(diff[idx])
     witness = None
@@ -124,17 +110,12 @@ def audit_tnorm_ordering(grid_resolution: int = 21) -> AxiomAuditReport:
     if grid_resolution < 5:
         raise ValueError("grid_resolution must be at least 5")
     g = np.linspace(0.0, 1.0, grid_resolution)
-    a = g[:, None]
-    b = g[None, :]
-    luk = np.maximum(0.0, a + b - 1.0)
-    prod = a * b
-    mini = np.minimum(a, b)
-    checks = []
-    for name, diff in (("lukasiewicz_le_product", luk - prod),
-                       ("product_le_minimum", prod - mini)):
-        checks.append(_grid_check(name, np.maximum(diff, 0.0), g, npairs=2))
-    return AxiomAuditReport(target="tnorm-ordering",
-                            passed=all(c.passed for c in checks), checks=tuple(checks))
+    luk, prod, mini = (_tnorm_fn(kind)(g[:, None], g[None, :]) for kind in (
+        TNormKind.LUKASIEWICZ, TNormKind.PRODUCT, TNormKind.MINIMUM))
+    return AxiomAuditReport(target="tnorm-ordering", checks=(
+        _grid_check("lukasiewicz_le_product", np.maximum(luk - prod, 0.0), g),
+        _grid_check("product_le_minimum", np.maximum(prod - mini, 0.0), g),
+    ))
 
 
 @dataclass(frozen=True)
@@ -161,12 +142,6 @@ def _distances(fm: FuzzyMetric, pairs) -> np.ndarray:
     if (d < 0.0).any():
         raise ValueError("base_distance returned a negative value")
     return d
-
-
-def _first(mask: np.ndarray):
-    """Index tuple of the first True entry of ``mask`` in row-major order, or None."""
-    hits = np.flatnonzero(mask)
-    return np.unravel_index(hits[0], mask.shape) if hits.size else None
 
 
 def fuzzy_membership(fm: FuzzyMetric, x, y, t):
@@ -219,48 +194,37 @@ def audit_gv_axioms(fm: FuzzyMetric, point_sampler: Callable, point_samples: int
     vals = _grade(grid, d_xy)
     jump = np.abs(_grade(grid * (1.0 + 1e-6), d_xy) - vals)
 
-    checks = []
-
-    def check(name, failed, witness_at, checked=None, detail=""):
-        bad = _first(failed)
-        checks.append(AuditCheck(name=name, passed=bad is None,
-                                 checked=failed.size if checked is None else checked,
-                                 witness=None if bad is None else witness_at(*bad),
-                                 detail=detail))
+    m0 = _grade(0.0, d_xy)
+    n = len(pts)
+    distinct = np.array([x != y for x, y in adjacent])[:, None]
+    steps = len(grid) - 1
 
     def pair_witness(i, **values):
         x, y = adjacent[i]
         return {"x": x, "y": y, **{k: float(v) for k, v in values.items()}}
 
-    m0 = _grade(0.0, d_xy)
-    check("zero_at_t0", m0 != 0.0, lambda i, _: pair_witness(i, membership_at_0=m0[i, 0]))
-
-    # distinct carrier points must never reach grade 1; this also catches
-    # degenerate base distances that report 0 for distinct points.  Rows are
-    # the points with themselves, then the adjacent pairs.
-    n = len(pts)
-    distinct = np.array([x != y for x, y in adjacent])[:, None]
-    check("identity", np.vstack([m_self != 1.0, (m_xy >= 1.0) & distinct]),
-          lambda r, j: ({"x": pts[r], "t": float(ts[j]), "membership": float(m_self[r, j])}
-                        if r < n else pair_witness(r - n, t=ts[j], membership=m_xy[r - n, j])),
-          checked=m_self.size + int(distinct.sum()) * t_samples)
-
-    check("symmetry", m_xy != m_yx,
-          lambda i, j: pair_witness(i, t=ts[j], m_xy=m_xy[i, j], m_yx=m_yx[i, j]))
-
-    check("tnorm_triangle", lhs > rhs + AUDIT_SLACK,
-          lambda i: {"x": xs[i], "y": ys[i], "z": zs[i], "t": float(t[i]), "s": float(s[i]),
-                     "lhs": float(lhs[i]), "rhs": float(rhs[i])})
-
-    # per pair: the 63 monotonicity steps, then the 64 relative-step probes
-    steps = len(grid) - 1
-    check("continuity_in_t", np.hstack([vals[:, 1:] < vals[:, :-1] - AUDIT_SLACK, jump > 1e-6]),
-          lambda i, j: (pair_witness(i, t=grid[j], drop=vals[i, j] - vals[i, j + 1]) if j < steps
-                        else pair_witness(i, t=grid[j - steps], jump=jump[i, j - steps])),
-          detail="monotone on a log grid; 1e-6 relative-step probe")
-
-    return AxiomAuditReport(target="fuzzy-metric-axioms",
-                            passed=all(c.passed for c in checks), checks=tuple(checks))
+    return AxiomAuditReport(target="fuzzy-metric-axioms", checks=(
+        check("zero_at_t0", m0 != 0.0, lambda i, _: pair_witness(i, membership_at_0=m0[i, 0])),
+        # distinct carrier points must never reach grade 1; this also catches
+        # degenerate base distances that report 0 for distinct points.  Rows
+        # are the points with themselves, then the adjacent pairs.
+        check("identity", np.vstack([m_self != 1.0, (m_xy >= 1.0) & distinct]),
+              lambda r, j: ({"x": pts[r], "t": float(ts[j]), "membership": float(m_self[r, j])}
+                            if r < n else pair_witness(r - n, t=ts[j], membership=m_xy[r - n, j])),
+              checked=m_self.size + int(distinct.sum()) * t_samples),
+        check("symmetry", m_xy != m_yx,
+              lambda i, j: pair_witness(i, t=ts[j], m_xy=m_xy[i, j], m_yx=m_yx[i, j])),
+        check("tnorm_triangle", lhs > rhs + AUDIT_SLACK,
+              lambda i: {"x": xs[i], "y": ys[i], "z": zs[i], "t": float(t[i]), "s": float(s[i]),
+                         "lhs": float(lhs[i]), "rhs": float(rhs[i])}),
+        # per pair: the 63 monotonicity steps, then the 64 relative-step probes
+        check("continuity_in_t",
+              np.hstack([vals[:, 1:] < vals[:, :-1] - AUDIT_SLACK, jump > 1e-6]),
+              lambda i, j: (pair_witness(i, t=grid[j], drop=vals[i, j] - vals[i, j + 1])
+                            if j < steps else
+                            pair_witness(i, t=grid[j - steps], jump=jump[i, j - steps])),
+              detail="monotone on a log grid; 1e-6 relative-step probe"),
+    ))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .reports import AuditCheck, AxiomAuditReport
+from .reports import AxiomAuditReport, check
 
 __all__ = [
     "GaussianState",
@@ -190,14 +190,14 @@ def _sigma_sq_sum(a: GaussianState, b: GaussianState) -> float:
     return ss
 
 
-def _distance(xp, dmu, dsigma, ss):
-    """sqrt(2 - 2*<a|b>) from mu_a - mu_b, sigma_a - sigma_b and sigma_a**2 + sigma_b**2.
+def _distance(xp, dmu2, dsigma, ss):
+    """sqrt(2 - 2*<a|b>) from (mu_a - mu_b)**2, sigma_a - sigma_b and sigma_a**2 + sigma_b**2.
 
     ``xp`` is ``math`` for floats and ``numpy`` for arrays.  Both terms of
     1 - <a|b> = (1 - pref) + pref*(1 - exp(-u)) are nonnegative (v <= 1 in
     floating point), so no cancellation and no clamp are needed.
     """
-    u = dmu**2 / (2.0 * ss)
+    u = dmu2 / (2.0 * ss)
     v = dsigma**2 / ss
     p = xp.sqrt(1.0 - v)
     return xp.sqrt(2.0 * (v / (1.0 + p) - p * xp.expm1(-u)))
@@ -210,14 +210,24 @@ def state_distance(a: GaussianState, b: GaussianState) -> float:
     that distances far below sqrt(machine epsilon) are still exact to a few
     ulps; the naive 2 - 2*overlap subtraction cannot resolve below ~1e-8.
     Zero exactly iff the parameter pairs are identical.  Raises
-    OverflowError where sigma_a**2 + sigma_b**2 leaves the double range.
+    OverflowError where (mu_a - mu_b)**2 or 2*(sigma_a**2 + sigma_b**2)
+    leaves the double range.
     """
-    return _distance(math, a.mu - b.mu, a.sigma - b.sigma, _sigma_sq_sum(a, b))
+    return _distance(math, (a.mu - b.mu) ** 2, a.sigma - b.sigma, _sigma_sq_sum(a, b))
 
 
 def distance_from_params(mu1, sigma1, mu2, sigma2):
-    """Vectorized :func:`state_distance` on raw parameter arrays (no overflow check)."""
-    return _distance(np, mu1 - mu2, sigma1 - sigma2, sigma1 * sigma1 + sigma2 * sigma2)
+    """Vectorized :func:`state_distance` on raw parameter arrays.
+
+    Raises OverflowError, as :func:`state_distance` does, where
+    (mu1 - mu2)**2 or 2*(sigma1**2 + sigma2**2) leaves the double range.
+    """
+    with np.errstate(over="ignore"):
+        dmu2 = (mu1 - mu2) ** 2
+        ss = sigma1 * sigma1 + sigma2 * sigma2
+        if dmu2.max() == math.inf or 2.0 * ss.max() == math.inf:
+            raise OverflowError("(mu1 - mu2)**2 or 2*(sigma1**2 + sigma2**2) overflows")
+    return _distance(np, dmu2, sigma1 - sigma2, ss)
 
 
 def audit_metric_axioms(samples: int = 10000, rng_seed: int = 0,
@@ -242,53 +252,29 @@ def audit_metric_axioms(samples: int = 10000, rng_seed: int = 0,
     d_bc = distance_from_params(mu[1], sg[1], mu[2], sg[2])
     d_ac = distance_from_params(mu[0], sg[0], mu[2], sg[2])
 
-    checks = []
-
-    bad = np.nonzero(d_ab != d_ba)[0]
-    checks.append(AuditCheck(
-        name="symmetry_exact", passed=bad.size == 0, checked=samples,
-        witness=None if bad.size == 0 else _pair_witness(mu, sg, int(bad[0]), d_ab, d_ba),
-    ))
-
     d_self = distance_from_params(mu[0], sg[0], mu[0], sg[0])
     rel_equal = (np.abs(mu[0] - mu[1]) <= 1e-14 * np.maximum(np.abs(mu[0]), np.abs(mu[1]))) & (
         np.abs(sg[0] - sg[1]) <= 1e-14 * np.maximum(sg[0], sg[1]))
-    bad_zero = np.nonzero(d_self != 0.0)[0]
-    bad_pos = np.nonzero(~rel_equal & (d_ab <= 0.0))[0]
-    ident_ok = bad_zero.size == 0 and bad_pos.size == 0
-    witness = None
-    if bad_zero.size:
-        i = int(bad_zero[0])
-        witness = {"mu": float(mu[0, i]), "sigma": float(sg[0, i]), "distance": float(d_self[i])}
-    elif bad_pos.size:
-        witness = _pair_witness(mu, sg, int(bad_pos[0]), d_ab, d_ba)
-    checks.append(AuditCheck(name="identity_of_indiscernibles", passed=ident_ok,
-                             checked=2 * samples, witness=witness))
-
     excess = d_ac - (d_ab + d_bc)
-    bad = np.nonzero(excess > triangle_slack)[0]
-    witness = None
-    if bad.size:
-        i = int(bad[0])
-        witness = {"d_ac": float(d_ac[i]), "d_ab": float(d_ab[i]), "d_bc": float(d_bc[i]),
-                   "excess": float(excess[i])}
-    checks.append(AuditCheck(name="triangle_inequality", passed=bad.size == 0,
-                             checked=samples, witness=witness,
-                             detail=f"slack={triangle_slack:g}"))
-
     all_d = np.concatenate([d_ab, d_bc, d_ac])
-    bad = np.nonzero((all_d < 0.0) | (all_d > SQRT2))[0]
-    checks.append(AuditCheck(
-        name="range", passed=bad.size == 0, checked=all_d.size,
-        witness=None if bad.size == 0 else {"distance": float(all_d[int(bad[0])])},
-        detail="0 <= d <= sqrt(2) in double precision",
+
+    def pair_witness(i):
+        return {"a": {"mu": float(mu[0, i]), "sigma": float(sg[0, i])},
+                "b": {"mu": float(mu[1, i]), "sigma": float(sg[1, i])},
+                "d_ab": float(d_ab[i]), "d_ba": float(d_ba[i])}
+
+    return AxiomAuditReport(target="state-distance-metric-axioms", checks=(
+        check("symmetry_exact", d_ab != d_ba, pair_witness),
+        # row 0: each point with itself, row 1: distinct pairs at distance 0
+        check("identity_of_indiscernibles",
+              np.vstack([d_self != 0.0, ~rel_equal & (d_ab <= 0.0)]),
+              lambda r, i: pair_witness(i) if r else {
+                  "mu": float(mu[0, i]), "sigma": float(sg[0, i]), "distance": float(d_self[i])}),
+        check("triangle_inequality", excess > triangle_slack,
+              lambda i: {"d_ac": float(d_ac[i]), "d_ab": float(d_ab[i]),
+                         "d_bc": float(d_bc[i]), "excess": float(excess[i])},
+              detail=f"slack={triangle_slack:g}"),
+        check("range", (all_d < 0.0) | (all_d > SQRT2),
+              lambda i: {"distance": float(all_d[i])},
+              detail="0 <= d <= sqrt(2) in double precision"),
     ))
-
-    return AxiomAuditReport(target="state-distance-metric-axioms",
-                            passed=all(c.passed for c in checks), checks=tuple(checks))
-
-
-def _pair_witness(mu, sg, i, d_ab, d_ba):
-    return {"a": {"mu": float(mu[0, i]), "sigma": float(sg[0, i])},
-            "b": {"mu": float(mu[1, i]), "sigma": float(sg[1, i])},
-            "d_ab": float(d_ab[i]), "d_ba": float(d_ba[i])}

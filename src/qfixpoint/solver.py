@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .gaussian import SQRT2, GaussianState, distance_from_params, state_distance
-from .reports import AuditCheck, AxiomAuditReport
+from .reports import AxiomAuditReport, check
 
 __all__ = [
     "AffineGaussianMap",
@@ -268,34 +268,25 @@ def verify_banach_bounds(report: FixedPointReport, k: float,
     if len(report.iterates) < 2:
         raise ValueError("report must contain at least 2 iterates")
 
-    steps = report.step_distances
+    steps = np.array(report.step_distances)
     s0 = steps[0]
-    checks = []
-
-    witness = None
-    for n, step in enumerate(steps):
-        bound = k**n * s0 + slack
-        if step > bound:
-            witness = {"n": n, "step_distance": step, "bound": bound}
-            break
-    checks.append(AuditCheck(name="geometric_step_bound", passed=witness is None,
-                             checked=len(steps), witness=witness,
-                             detail="step[n] <= k^n * step[0] + slack"))
-
-    witness = None
-    tail = 1.0 / (1.0 - k)
-    for n, it in enumerate(report.iterates):
-        bound = k**n * tail * s0 + slack
-        dist = state_distance(it, report.fixed_point)
-        if dist > bound:
-            witness = {"n": n, "distance_to_fixed_point": dist, "bound": bound}
-            break
-    checks.append(AuditCheck(name="geometric_tail_bound", passed=witness is None,
-                             checked=len(report.iterates), witness=witness,
-                             detail="d(iterate[n], fixed_point) <= k^n/(1-k) * step[0] + slack"))
-
-    return AxiomAuditReport(target="banach-bounds",
-                            passed=all(c.passed for c in checks), checks=tuple(checks))
+    # Python's ** per power: numpy's k ** np.arange(n) differs in the last bit for some k
+    powers = np.array([k**n for n in range(len(report.iterates))])
+    step_bound = powers[:steps.size] * s0 + slack
+    tail_bound = powers * (1.0 / (1.0 - k)) * s0 + slack
+    mu, sigma = np.array([(it.mu, it.sigma) for it in report.iterates]).T
+    fp = report.fixed_point
+    dist = distance_from_params(mu, sigma, fp.mu, fp.sigma)
+    return AxiomAuditReport(target="banach-bounds", checks=(
+        check("geometric_step_bound", steps > step_bound,
+              lambda n: {"n": int(n), "step_distance": float(steps[n]),
+                         "bound": float(step_bound[n])},
+              detail="step[n] <= k^n * step[0] + slack"),
+        check("geometric_tail_bound", dist > tail_bound,
+              lambda n: {"n": int(n), "distance_to_fixed_point": float(dist[n]),
+                         "bound": float(tail_bound[n])},
+              detail="d(iterate[n], fixed_point) <= k^n/(1-k) * step[0] + slack"),
+    ))
 
 
 def verify_uniqueness(m: AffineGaussianMap, starts, tolerance: float = DEFAULT_TOLERANCE,
@@ -319,18 +310,12 @@ def verify_uniqueness(m: AffineGaussianMap, starts, tolerance: float = DEFAULT_T
                                     report=report)
         fixed_points.append(report.fixed_point)
 
+    params = np.array([(p.mu, p.sigma) for p in fixed_points])
+    i, j = np.triu_indices(len(fixed_points), 1)
+    d = distance_from_params(params[i, 0], params[i, 1], params[j, 0], params[j, 1])
     threshold = 10.0 * tolerance
-    witness = None
-    worst = 0.0
-    pairs = 0
-    for i in range(len(fixed_points)):
-        for j in range(i + 1, len(fixed_points)):
-            pairs += 1
-            d = state_distance(fixed_points[i], fixed_points[j])
-            if d > worst:
-                worst = d
-            if d > threshold and witness is None:
-                witness = {"start_i": i, "start_j": j, "distance": d, "threshold": threshold}
-    check = AuditCheck(name="common_fixed_point", passed=witness is None, checked=pairs,
-                       witness=witness, detail=f"max pairwise distance {worst:.3e}")
-    return AxiomAuditReport(target="uniqueness", passed=check.passed, checks=(check,))
+    return AxiomAuditReport(target="uniqueness", checks=(check(
+        "common_fixed_point", d > threshold,
+        lambda p: {"start_i": int(i[p]), "start_j": int(j[p]), "distance": float(d[p]),
+                   "threshold": threshold},
+        detail=f"max pairwise distance {d.max():.3e}"),))

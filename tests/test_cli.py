@@ -201,6 +201,17 @@ def test_compare_defaults_json(capsys):
                                  "topological_protection", "conservation_laws"}
 
 
+def test_compare_json_reports_the_estimated_and_the_clamped_k(capsys):
+    # the estimate on the default region is 2.70, so the audit runs at 1 - 1e-12
+    code, out = invoke(capsys, "compare", "--map", "0.95,0,0.3,0.2", "--format", "json")
+    assert code == 0
+    condition = json.loads(out)["result"]["fuzzy_condition"]
+    assert list(condition)[:2] == ["k_estimate", "k"]
+    assert condition["k_estimate"] == pytest.approx(2.697, abs=1e-3)
+    assert condition["k"] == 1.0 - 1e-12
+    assert not condition["holds"]
+
+
 def test_compare_identical_probe(capsys):
     code, out = invoke(capsys, "compare", "--probe-a", "0,1", "--probe-b", "0,1",
                        "--format", "json")
@@ -277,6 +288,9 @@ def test_nan_tolerance_exits_2(capsys, argv):
         ["--a", "0,1e160", "--b", "5e150,1e160"],
         ["--a", "0,1e160", "--b", "0,1.0000001e160"],
         ["--a", "0,0.8e154", "--b", "1e154,0.8e154"])),
+    # the trace stays in range, but (mu_0 - mu*)**2 in the tail bound overflows
+    *(["audit", "--target", "banach-bounds", "--map=0.99,0,0.5,0.5", "--start=1e155,1",
+       "--max-iter", "1000000", "--k", "0.999", "--format", fmt] for fmt in ("table", "csv")),
 ])
 def test_overflowing_parameters_exit_2(capsys, argv):
     code = main(argv)
@@ -438,7 +452,9 @@ def test_exit_codes_end_to_end():
 
 # sha256 of f"{exit code}\0{stdout}\0{stderr}" for each argv + "--format FMT",
 # taken before the output layer was rewritten (numpy 2.4.6, x86-64 Linux); a
-# different libm or numpy may move the last printed digit of some floats
+# different libm or numpy may move the last printed digit of some floats.  The
+# three compare json digests were re-taken when fuzzy_condition gained the
+# estimated and the audited contraction factor.
 GOLDEN_ARGVS = {
     "distance": ["distance", "--a", "0,1", "--b", "2,1"],
     "distance-quadrature": ["distance", "--a", "0,1", "--b", "0.5,2", "--quadrature"],
@@ -497,13 +513,13 @@ GOLDEN_DIGESTS = {
     "audit-banach-k1.5-json": "1c068c04551ecd439386df6a756b4f61289cf5a44a55211a058ce0f5630d520c",
     "audit-banach-k1.5-csv": "1c068c04551ecd439386df6a756b4f61289cf5a44a55211a058ce0f5630d520c",
     "audit-banach-k1.5-table": "1c068c04551ecd439386df6a756b4f61289cf5a44a55211a058ce0f5630d520c",
-    "compare-json": "c2ccdc44a0650fbad7751bbd17d01f2bc86a783823d908c8eb477d1adb4ab646",
+    "compare-json": "cb4204a3b804b78ae286297e6752cf26cf5e575f792a485ea9ac35a98ba08785",
     "compare-csv": "ab89259e72519416a996df5a9e36882fc3a15ed918d415cce3c21d36a2570b4d",
     "compare-table": "e135cb431375db6ccd32977ecbc7ffc6b9c7c9611cdce431602ab1adfc45300f",
-    "compare-seed3-json": "e6d792ade219c06fb2dabd01feb18369fe7b88776f4cc7e1ceff3558feec133a",
+    "compare-seed3-json": "f445dcccd77c533460dccf732f3c3f81123375698378f52be328e12d35f4df8e",
     "compare-seed3-csv": "e810645f8a8139b9e4c0e398094958c40960cdf8518acc98b879ecc6ba712dae",
     "compare-seed3-table": "5fd4de8432d84d10d30ecb0ad3352b0f851b45fb9134adf3d0e663037c5ff5c6",
-    "compare-witness-json": "c632928bbbd1c6a1bdc8faacc44d2662c3823a2dcad0f5c015077faeac61f84a",
+    "compare-witness-json": "4a33d7faad0edb31f549e1e57385f5def549449c4a7a252a9bbdac283784c5ed",
     "compare-witness-csv": "f9301211fbd7e9f230984a0e93aa02acc0eda4009f297394a032e9053d07ae37",
     "compare-witness-table": "f4f645dcbb9061c9cf8cc44cc6c49b016a802a37bdcf82a3d7f15f2277877d0c",
     "negative-sigma-json": "bfa39869f8e463ae20f25bb343376b40c6f60c43a1f5b97efbf54ba85fccbc6e",

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +259,22 @@ def test_distance_matches_vectorized_form():
         scalar = state_distance(GaussianState(mu[0, i], sg[0, i]),
                                 GaussianState(mu[1, i], sg[1, i]))
         assert vec[i] == pytest.approx(scalar, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("a, b", [
+    ((0.0, 1.0), (1e155, 1.0)),  # (mu_a - mu_b)**2 overflows
+    ((0.0, 1e160), (0.0, 1.0000001e160)),  # sigma_a**2 overflows
+    ((0.0, 0.8e154), (1e154, 0.8e154)),  # only 2*(sigma_a**2 + sigma_b**2) overflows
+])
+def test_vectorized_distance_refuses_overflow_like_the_scalar_one(a, b):
+    with pytest.raises(OverflowError):
+        state_distance(GaussianState(*a), GaussianState(*b))
+    # one overflowing pair among ordinary ones, and no RuntimeWarning on the way
+    mu1, sg1, mu2, sg2 = (np.array([1.0, v, 2.0]) for v in (*a, *b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            distance_from_params(mu1, sg1, mu2, sg2)
 
 
 # ----------------------------------------------------- oracle grid and audit
