@@ -339,13 +339,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# building the parser costs far more than a parse, and parse_args leaves it
+# unchanged, so main builds it once per process; the cache wraps the function
+# bound here, so rebinding cli.build_parser later never reaches main
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         for flag, limit in SIZE_LIMITS.items():
             if getattr(args, flag[2:].replace("-", "_"), 0) > limit:
                 raise CliError(f"{flag}: must be at most {limit}")
+        if getattr(args, "seed", 0) < 0:
+            raise CliError("--seed: must be non-negative")
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ numerical oracle for the closed form.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,16 +60,18 @@ class QuadratureConfig:
     """Settings for the truncated composite-Simpson oracle.
 
     ``half_width_sigmas`` is the truncation radius in units of the wider of
-    the two state widths; ``panels`` is the number of Simpson panels, so the
-    rule evaluates the integrand at ``2 * panels + 1`` equispaced nodes.
+    the two state widths, from 6 to 40 (exp(-W**2/2) underflows past 38.6,
+    so a wider window adds nothing); ``panels`` is the number of Simpson
+    panels, so the rule evaluates the integrand at ``2 * panels + 1``
+    equispaced nodes.
     """
 
     half_width_sigmas: float = 10.0
     panels: int = 4096
 
     def __post_init__(self):
-        if not (math.isfinite(self.half_width_sigmas) and self.half_width_sigmas >= 6.0):
-            raise ValueError("half_width_sigmas must be at least 6")
+        if not 6.0 <= self.half_width_sigmas <= 40.0:
+            raise ValueError("half_width_sigmas must be between 6 and 40")
         if self.panels < 64 or self.panels % 2 != 0:
             raise ValueError("panels must be even and at least 64")
 
@@ -116,10 +119,12 @@ def overlap_quadrature_many(mu1, sigma1, mu2, sigma2,
     """Quadrature overlaps for arrays of state parameters (one pair per entry).
 
     Same rule as :func:`overlap_quadrature`.  The four inputs must be finite
-    1-D arrays (or scalars) of one common size, with every sigma > 0.  Pairs
-    are evaluated in chunks of ``max(1, _NODE_BUDGET // (2*panels + 1))``
-    rows, so each of the two work buffers holds at most ``_NODE_BUDGET``
-    doubles (512 KiB) and both stay in a per-core L2 cache.
+    1-D arrays (or scalars) of one common size, with every sigma > 0; raises
+    ZeroDivisionError where (sigma1*sigma2)**2 is below the smallest normal
+    double and OverflowError where it is infinite.  Pairs are evaluated in
+    chunks of ``max(1, _NODE_BUDGET // (2*panels + 1))`` rows, so each of the
+    two work buffers holds at most ``_NODE_BUDGET`` doubles (512 KiB) and both
+    stay in a per-core L2 cache.
     """
     cfg = cfg if cfg is not None else DEFAULT_QUADRATURE
     mu1, sigma1, mu2, sigma2 = map(np.atleast_1d, (mu1, sigma1, mu2, sigma2))
@@ -128,6 +133,14 @@ def overlap_quadrature_many(mu1, sigma1, mu2, sigma2,
     if not (all(np.isfinite(a).all() for a in (mu1, sigma1, mu2, sigma2))
             and (sigma1 > 0.0).all() and (sigma2 > 0.0).all()):
         raise ValueError("state parameters must be finite and every sigma positive")
+    # the prefactor's (s1*s2)**2 must be a normal double; the closed form
+    # raises the same exceptions for its own underflow and overflow
+    with np.errstate(over="ignore", under="ignore"):
+        width_sq = (sigma1 * sigma2) ** 2
+    if (width_sq < sys.float_info.min).any():
+        raise ZeroDivisionError("(sigma1*sigma2)**2 underflows")
+    if (width_sq == math.inf).any():
+        raise OverflowError("(sigma1*sigma2)**2 overflows")
     jr, wts = _simpson_nodes(cfg.panels)
     npts = jr.size
     rows = max(1, _NODE_BUDGET // npts)
@@ -158,7 +171,7 @@ def overlap_quadrature_many(mu1, sigma1, mu2, sigma2,
         # batched results match one-pair calls bitwise
         total = b1.sum(axis=1)
         # grouping keeps the result bitwise symmetric under argument swap
-        pref = ((math.pi * math.pi) * (s1 * s2) ** 2) ** -0.25
+        pref = ((math.pi * math.pi) * width_sq[sl]) ** -0.25
         out[sl] = pref * total * h / 3.0
     return out
 

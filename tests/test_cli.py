@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfixpoint import cli
 from qfixpoint.cli import SIZE_LIMITS, build_parser, main
 
 RUN = [sys.executable, "-m", "qfixpoint.cli"]
@@ -306,6 +307,10 @@ def test_overflowing_parameters_exit_2(capsys, argv):
     ["distance", "--a", "0,1e-200", "--b", "0,1e-200"],
     ["distance", "--a", "0,1e-200", "--b", "1,1e-200"],
     ["iterate", "--map", "0.5,0,0.5,1e-300", "--start", "0,1e-300"],
+    # (sigma_a*sigma_b)**2 in the quadrature prefactor is zero or subnormal:
+    # these used to print inf, and an overlap 3.8e-6 off, with exit 0
+    ["distance", "--a", "0,1e-150", "--b", "0,1e-150", "--quadrature"],
+    ["distance", "--a", "0,1e-80", "--b", "0,1e-80", "--quadrature"],
 ])
 def test_underflowing_widths_exit_2(capsys, argv):
     code = main(argv)
@@ -314,6 +319,23 @@ def test_underflowing_widths_exit_2(capsys, argv):
     assert captured.out == ""
     assert captured.err == ("error: the inputs underflow double-precision arithmetic; "
                             "use larger widths\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # used to print overflow warnings and an overlap of 9.18e295 with exit 0
+    *((["distance", "--a", "0,1", "--b", "0,1", "--quadrature", "--half-width", "1e300",
+        "--format", fmt], "--half-width/--panels: half_width_sigmas must be between 6 and 40")
+      for fmt in ("table", "csv")),
+    # numpy's refusal used to name no flag
+    *(([*command, "--seed", "-1"], "--seed: must be non-negative") for command in (
+        ["compare"], ["audit", "--target", "metric-axioms"], ["audit", "--target", "gv"])),
+])
+def test_out_of_range_option_exits_2_naming_it(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def _limit_argv(flag, value):
@@ -350,6 +372,29 @@ def test_size_limits_admit_the_defaults():
         args = parser.parse_args(argv.split())
         for flag, limit in SIZE_LIMITS.items():
             assert getattr(args, flag[2:].replace("-", "_"), 0) <= limit
+
+
+def test_main_ignores_a_later_rebinding_of_build_parser(capsys, monkeypatch):
+    # main builds its parser once, through a cache bound at import; the
+    # benchmark's tracer rebinds cli.build_parser, which must not reach main
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the argv
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    argvs = (["iterate", "--map", "0.5,0,0.5,0.5", "--start", "4,3"], ["iterate"])
+    first = [outcome(argv) for argv in argvs]
+
+    def refuse():
+        raise AssertionError("main rebuilt its parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert [outcome(argv) for argv in argvs] == first
+    assert first[0][0] == 0 and first[1][0] == 2
+    assert build_parser() is not build_parser()
 
 
 # ---------------------------------------------------------------- argv fuzz

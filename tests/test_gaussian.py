@@ -31,6 +31,10 @@ def test_state_requires_positive_sigma():
 def test_quadrature_config_invariants():
     with pytest.raises(ValueError):
         QuadratureConfig(half_width_sigmas=5.0)
+    for wide in (41.0, 1e300):
+        with pytest.raises(ValueError, match="between 6 and 40"):
+            QuadratureConfig(half_width_sigmas=wide)
+    assert QuadratureConfig(half_width_sigmas=40.0).half_width_sigmas == 40.0
     with pytest.raises(ValueError):
         QuadratureConfig(panels=63)
     with pytest.raises(ValueError):
@@ -146,6 +150,19 @@ def test_overlap_quadrature_many_rejects_ragged_or_2d_input(args):
 def test_overlap_quadrature_many_rejects_bad_parameters(args):
     with pytest.raises(ValueError, match="finite and every sigma positive"):
         overlap_quadrature_many(*args)
+
+
+@pytest.mark.parametrize("sigma, error", [
+    (1e-150, ZeroDivisionError),  # (s1*s2)**2 rounds to 0: used to return inf
+    (1e-80, ZeroDivisionError),   # subnormal: used to return 1.0000037757635869
+    (1e160, OverflowError),       # used to return 0.0 with an overflow warning
+])
+def test_overlap_quadrature_many_rejects_unrepresentable_prefactor(sigma, error):
+    sigmas = np.array([1.0, sigma])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=r"\(sigma1\*sigma2\)\*\*2"):
+            overlap_quadrature_many(np.zeros(2), sigmas, np.zeros(2), sigmas)
 
 
 def test_overlap_quadrature_many_memory_stays_within_node_budget():
