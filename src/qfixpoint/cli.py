@@ -18,10 +18,10 @@ from .compare import build_feature_report, gaussian_parameter_metric, gaussian_s
 from .fuzzy import (TNormKind, absolute_difference, audit_gv_axioms,
                     audit_tnorm_axioms, audit_tnorm_ordering, FuzzyMetric,
                     real_line_sampler)
-from .gaussian import (GaussianState, QuadratureConfig, audit_metric_axioms,
+from .gaussian import (SQRT2, GaussianState, QuadratureConfig, audit_metric_axioms,
                        overlap_closed_form, overlap_quadrature, state_distance)
-from .solver import (AffineGaussianMap, NotConvergedError, iterate_to_fixed_point,
-                     verify_banach_bounds)
+from .solver import (DEFAULT_TOLERANCE, AffineGaussianMap, NotConvergedError,
+                     iterate_to_fixed_point, verify_banach_bounds)
 
 SCHEMA_VERSION = 1
 
@@ -31,7 +31,9 @@ EXIT_NOT_CONVERGED = 3
 EXIT_AUDIT_FAILED = 4
 
 
-# upper limits of the size options, checked before any work is done
+# lower and upper limits of the size options, checked before any work is done
+SIZE_MINIMA = {"--resolution": 5, "--points": 10, "--t-samples": 5, "--samples": 1,
+               "--max-iter": 1}
 SIZE_LIMITS = {"--panels": 2**20, "--resolution": 101, "--samples": 10**6,
                "--points": 4096, "--t-samples": 1024, "--max-iter": 10**6}
 
@@ -134,10 +136,6 @@ def _cmd_distance(args) -> int:
 def _cmd_iterate(args) -> int:
     m = _parse(args.map, "--map", AffineGaussianMap)
     start = _parse(args.start, "--start", GaussianState)
-    if not (args.tol > 0):
-        raise CliError("--tol: tolerance must be positive")
-    if args.max_iter < 1:
-        raise CliError("--max-iter: must be at least 1")
 
     report = iterate_to_fixed_point(m, start, args.tol, args.max_iter)
     inputs = {"map": m, "start": start, "tolerance": args.tol,
@@ -234,8 +232,6 @@ def _cmd_compare(args) -> int:
     start = _parse(args.start, "--start", GaussianState)
     probe = (_parse(args.probe_a, "--probe-a", GaussianState),
              _parse(args.probe_b, "--probe-b", GaussianState))
-    if not (args.tol > 0):
-        raise CliError("--tol: tolerance must be positive")
 
     report = build_feature_report(m, start, probe, args.tol, args.max_iter,
                                   rng_seed=args.seed)
@@ -349,10 +345,21 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         for flag, limit in SIZE_LIMITS.items():
-            if getattr(args, flag[2:].replace("-", "_"), 0) > limit:
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is None:  # the subcommand has no such option
+                continue
+            if value < SIZE_MINIMA.get(flag, value):
+                raise CliError(f"{flag}: must be at least {SIZE_MINIMA[flag]}")
+            if value > limit:
                 raise CliError(f"{flag}: must be at most {limit}")
         if getattr(args, "seed", 0) < 0:
             raise CliError("--seed: must be non-negative")
+        tol = getattr(args, "tol", DEFAULT_TOLERANCE)
+        if not (tol > 0):
+            raise CliError("--tol: tolerance must be positive")
+        # no state distance exceeds sqrt(2), so such a tolerance passes every step
+        if tol >= SQRT2:
+            raise CliError("--tol: tolerance must be below sqrt(2), the largest state distance")
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,10 +10,10 @@ agree by construction; the fuzzy side's independent content is its audit of
 the contraction condition.
 """
 
+import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
-
-import numpy as np
 
 # fuzzy_fixed_point and sample_state_pairs are not called here, but
 # bench/tracing.py patches them by name
@@ -63,7 +63,16 @@ def interference_excess_quadrature(a: GaussianState, b: GaussianState,
 
     Integrates (psi_a + psi_b)^2, psi_a^2 and psi_b^2 on one shared Simpson
     grid and combines them; independent cross-check of the closed form.
+    Raises ZeroDivisionError where a sigma**2 is below the smallest normal
+    double and OverflowError where it is infinite: the normalization
+    (pi*sigma**2)**-0.25 would otherwise lose precision silently or overflow.
     """
+    import numpy as np
+    for sigma in (a.sigma, b.sigma):
+        if sigma * sigma < sys.float_info.min:
+            raise ZeroDivisionError("sigma**2 underflows")
+        if sigma * sigma == math.inf:
+            raise OverflowError("sigma**2 overflows")
     cfg = cfg if cfg is not None else DEFAULT_QUADRATURE
     w = cfg.half_width_sigmas * max(a.sigma, b.sigma)
     lo = min(a.mu, b.mu) - w
@@ -86,7 +95,7 @@ def gaussian_parameter_metric() -> FuzzyMetric:
 
 def gaussian_state_sampler(region: ParameterBox = DEFAULT_REGION) -> Callable:
     """Uniform carrier-point sampler over a state parameter box."""
-    def sample(rng: np.random.Generator) -> GaussianState:
+    def sample(rng: "np.random.Generator") -> GaussianState:
         return GaussianState(float(rng.uniform(region.mu_lo, region.mu_hi)),
                              float(rng.uniform(region.sigma_lo, region.sigma_hi)))
     return sample
@@ -136,6 +145,7 @@ def build_feature_report(m: AffineGaussianMap, start: GaussianState,
     built only for a witness, and no base distance is called.  Raises
     NotConvergedError if the iteration exhausts its budget.
     """
+    import numpy as np
     quantum = iterate_to_fixed_point(m, start, tolerance, max_iterations)
     if not quantum.converged:
         raise NotConvergedError("quantum iteration did not converge", report=quantum)

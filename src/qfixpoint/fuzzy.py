@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
-import numpy as np
-
 from .reports import AuditCheck, AxiomAuditReport, _first, check
 from .solver import _iterate
 
@@ -48,6 +46,7 @@ class TNormKind(str, Enum):
 
 
 def _tnorm_fn(kind: TNormKind) -> Callable:
+    import numpy as np
     if kind == TNormKind.MINIMUM:
         return np.minimum
     if kind == TNormKind.PRODUCT:
@@ -73,6 +72,7 @@ def audit_tnorm_axioms(tnorm, grid_resolution: int = 21) -> AxiomAuditReport:
     associativity and monotonicity on all grid triples/pairs, each with
     AUDIT_SLACK tolerance.
     """
+    import numpy as np
     if grid_resolution < 5:
         raise ValueError("grid_resolution must be at least 5")
     fn = _tnorm_fn(TNormKind(tnorm)) if isinstance(tnorm, (TNormKind, str)) else tnorm
@@ -95,6 +95,7 @@ def audit_tnorm_axioms(tnorm, grid_resolution: int = 21) -> AxiomAuditReport:
 
 def _grid_check(name, diff, g):
     """Check diff <= AUDIT_SLACK on a grid; the witness is the worst grid point."""
+    import numpy as np
     idx = np.unravel_index(int(np.argmax(diff)), diff.shape)
     worst = float(diff[idx])
     witness = None
@@ -107,6 +108,7 @@ def _grid_check(name, diff, g):
 
 def audit_tnorm_ordering(grid_resolution: int = 21) -> AxiomAuditReport:
     """Check lukasiewicz <= product <= minimum on an exhaustive grid."""
+    import numpy as np
     if grid_resolution < 5:
         raise ValueError("grid_resolution must be at least 5")
     g = np.linspace(0.0, 1.0, grid_resolution)
@@ -131,13 +133,15 @@ def _grade(t, d):
 
     ``t`` and ``d`` broadcast, so one call grades a whole sweep of t values.
     """
+    import numpy as np
     t = np.asarray(t, dtype=float)
     with np.errstate(invalid="ignore"):
         return np.where(t == 0.0, 0.0, t / (t + d))
 
 
-def _distances(fm: FuzzyMetric, pairs) -> np.ndarray:
+def _distances(fm: FuzzyMetric, pairs) -> "np.ndarray":
     """One ``fm.base_distance`` call per (x, y) pair, checked nonnegative."""
+    import numpy as np
     d = np.array([fm.base_distance(x, y) for x, y in pairs], dtype=float)
     if (d < 0.0).any():
         raise ValueError("base_distance returned a negative value")
@@ -149,6 +153,7 @@ def fuzzy_membership(fm: FuzzyMetric, x, y, t):
 
     ``t`` may be an ndarray; d(x, y) is then computed once for all of it.
     """
+    import numpy as np
     if not np.all(np.greater_equal(t, 0.0)):
         raise ValueError("t must be nonnegative")
     m = _grade(t, _distances(fm, [(x, y)])[0])
@@ -171,6 +176,7 @@ def audit_gv_axioms(fm: FuzzyMetric, point_sampler: Callable, point_samples: int
     with itself, once per adjacent pair in each orientation, and three times
     per triple.  Each witness is the first failure in pair-major order.
     """
+    import numpy as np
     if point_samples < 10:
         raise ValueError("point_samples must be at least 10")
     if t_samples < 5:
@@ -252,7 +258,7 @@ class FuzzyFixedPointReport:
     condition: GSConditionAudit
 
 
-def _condition_audit(d, d_f, k: float, rng: np.random.Generator, pair_at: Callable,
+def _condition_audit(d, d_f, k: float, rng: "np.random.Generator", pair_at: Callable,
                      t_samples: int = 16) -> GSConditionAudit:
     """Audit M(f(x), f(y), k*t) >= M(x, y, t) from the t-independent distances.
 
@@ -261,6 +267,7 @@ def _condition_audit(d, d_f, k: float, rng: np.random.Generator, pair_at: Callab
     over T_RANGE from ``rng``.  The witness is the first violation in
     pair-major order, and ``pair_at(i)`` gives the (x, y) it names.
     """
+    import numpy as np
     ts = 10.0 ** rng.uniform(*LOG_T_RANGE, (d.size, t_samples))
     margin = _grade(k * ts, d_f[:, None]) - _grade(ts, d[:, None])
     failed = margin < -AUDIT_SLACK
@@ -295,6 +302,7 @@ def fuzzy_fixed_point(fm: FuzzyMetric, f: Callable, k: float, start,
     2 * len(pairs) times by the audit, since d(x, y) and d(f(x), f(y)) do
     not depend on t.
     """
+    import numpy as np
     if not 0.0 < k < 1.0:
         raise ValueError("k must lie in (0, 1)")
     rng = np.random.default_rng(rng_seed)
@@ -326,6 +334,6 @@ def absolute_difference(x: float, y: float) -> float:
 
 def real_line_sampler(lo: float = -10.0, hi: float = 10.0) -> Callable:
     """Uniform carrier-point sampler for the real line."""
-    def sample(rng: np.random.Generator) -> float:
+    def sample(rng: "np.random.Generator") -> float:
         return float(rng.uniform(lo, hi))
     return sample

@@ -20,8 +20,6 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .reports import AxiomAuditReport, check
 
 __all__ = [
@@ -81,6 +79,7 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 
 def evaluate(state: GaussianState, x):
     """Evaluate the wavefunction at ``x`` (scalar or ndarray)."""
+    import numpy as np
     norm = (math.pi * state.sigma**2) ** -0.25
     z = (np.asarray(x, dtype=float) - state.mu) / state.sigma
     out = norm * np.exp(-0.5 * z * z)
@@ -106,6 +105,7 @@ _NODE_BUDGET = 65536
 @lru_cache(maxsize=8)
 def _simpson_nodes(panels: int):
     """Unit-interval node ramp and Simpson weights for 2*panels+1 points."""
+    import numpy as np
     n = 2 * panels + 1
     j = np.arange(n, dtype=float)
     w = np.ones(n)
@@ -115,7 +115,7 @@ def _simpson_nodes(panels: int):
 
 
 def overlap_quadrature_many(mu1, sigma1, mu2, sigma2,
-                            cfg: QuadratureConfig | None = None) -> np.ndarray:
+                            cfg: QuadratureConfig | None = None) -> "np.ndarray":
     """Quadrature overlaps for arrays of state parameters (one pair per entry).
 
     Same rule as :func:`overlap_quadrature`.  The four inputs must be finite
@@ -126,6 +126,7 @@ def overlap_quadrature_many(mu1, sigma1, mu2, sigma2,
     two work buffers holds at most ``_NODE_BUDGET`` doubles (512 KiB) and both
     stay in a per-core L2 cache.
     """
+    import numpy as np
     cfg = cfg if cfg is not None else DEFAULT_QUADRATURE
     mu1, sigma1, mu2, sigma2 = map(np.atleast_1d, (mu1, sigma1, mu2, sigma2))
     if any(a.ndim != 1 or a.size != mu1.size for a in (mu1, sigma1, mu2, sigma2)):
@@ -184,6 +185,7 @@ def overlap_quadrature(a: GaussianState, b: GaussianState,
     W = half_width_sigmas * max(sigma).  Independent of the closed form;
     agrees with it to well below 1e-10 at the default configuration.
     """
+    import numpy as np
     out = overlap_quadrature_many(
         np.array([a.mu]), np.array([a.sigma]), np.array([b.mu]), np.array([b.sigma]), cfg
     )
@@ -235,6 +237,7 @@ def distance_from_params(mu1, sigma1, mu2, sigma2):
     Raises OverflowError, as :func:`state_distance` does, where
     (mu1 - mu2)**2 or 2*(sigma1**2 + sigma2**2) leaves the double range.
     """
+    import numpy as np
     with np.errstate(over="ignore"):
         dmu2 = (mu1 - mu2) ** 2
         ss = sigma1 * sigma1 + sigma2 * sigma2
@@ -254,6 +257,7 @@ def audit_metric_axioms(samples: int = 10000, rng_seed: int = 0,
     with 1e-14 relative parameter tolerance), the triangle inequality with
     ``triangle_slack``, and the range bound d <= sqrt(2).
     """
+    import numpy as np
     if samples < 1:
         raise ValueError("samples must be positive")
     rng = np.random.default_rng(rng_seed)

@@ -3,8 +3,6 @@
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
-import numpy as np
-
 __all__ = ["AuditCheck", "AxiomAuditReport"]
 
 
@@ -47,13 +45,14 @@ class AxiomAuditReport:
         return asdict(self)
 
 
-def _first(mask: np.ndarray):
+def _first(mask: "np.ndarray"):
     """Index tuple of the first True entry of ``mask`` in row-major order, or None."""
+    import numpy as np
     hits = np.flatnonzero(mask)
     return np.unravel_index(hits[0], mask.shape) if hits.size else None
 
 
-def check(name: str, failed: np.ndarray, witness_at: Callable, checked: int | None = None,
+def check(name: str, failed: "np.ndarray", witness_at: Callable, checked: int | None = None,
           detail: str = "") -> AuditCheck:
     """The check that no entry of the boolean array ``failed`` is True.
 

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .gaussian import SQRT2, GaussianState, distance_from_params, state_distance
 from .reports import AxiomAuditReport, check
 
@@ -152,7 +150,7 @@ def analytic_fixed_point(m: AffineGaussianMap) -> GaussianState:
                          m.sigma_shift / (1.0 - m.sigma_scale))
 
 
-def _sample_pair_params(region: ParameterBox, samples: int, rng: np.random.Generator):
+def _sample_pair_params(region: ParameterBox, samples: int, rng: "np.random.Generator"):
     mu1 = rng.uniform(region.mu_lo, region.mu_hi, samples)
     sg1 = rng.uniform(region.sigma_lo, region.sigma_hi, samples)
     mu2 = rng.uniform(region.mu_lo, region.mu_hi, samples)
@@ -169,7 +167,7 @@ def _distances_under_map(m: AffineGaussianMap, mu1, sg1, mu2, sg2):
 
 
 def sample_state_pairs(region: ParameterBox, samples: int,
-                       rng: np.random.Generator) -> list[tuple[GaussianState, GaussianState]]:
+                       rng: "np.random.Generator") -> list[tuple[GaussianState, GaussianState]]:
     """Draw uniform state pairs from a parameter box (same stream as the estimator)."""
     mu1, sg1, mu2, sg2 = _sample_pair_params(region, samples, rng)
     return [(GaussianState(a, b), GaussianState(c, d))
@@ -185,6 +183,7 @@ def estimate_contraction_factor(m: AffineGaussianMap, region: ParameterBox,
     for a fixed ``rng_seed``.  Raises DegenerateRegionError when every
     sampled pair is skipped.
     """
+    import numpy as np
     if samples < 100:
         raise ValueError("samples must be at least 100")
     rng = np.random.default_rng(rng_seed)
@@ -263,6 +262,7 @@ def verify_banach_bounds(report: FixedPointReport, k: float,
     step[n] <= k^n * step[0] + slack, and every iterate must lie within
     k^n/(1-k) * step[0] + slack of the report's fixed point.
     """
+    import numpy as np
     if not 0.0 <= k < 1.0:
         raise ValueError("k must satisfy 0 <= k < 1")
     if len(report.iterates) < 2:
@@ -297,6 +297,7 @@ def verify_uniqueness(m: AffineGaussianMap, starts, tolerance: float = DEFAULT_T
     10 * tolerance of each other.  Raises NotConvergedError if any run
     exhausts its budget.
     """
+    import numpy as np
     starts = tuple(starts)
     if len(starts) < 2:
         raise ValueError("need at least 2 starts")

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfixpoint import cli
-from qfixpoint.cli import SIZE_LIMITS, build_parser, main
+from qfixpoint.cli import SIZE_LIMITS, SIZE_MINIMA, build_parser, main
 
 RUN = [sys.executable, "-m", "qfixpoint.cli"]
 
@@ -266,14 +266,19 @@ def test_out_to_unwritable_path_exits_2(tmp_path, capsys):
     *([*command, "--tol", tol] for tol in ("inf", "1.5") for command in (
         ["iterate", "--map", "0.5,0,0.5,0.5", "--start", "4,3"], ["compare"],
         ["audit", "--target", "banach-bounds"])),
+    # main checks --tol for every subcommand that accepts it, whatever the target
+    *([*command, "--tol", tol] for tol in ("0", "-1") for command in (
+        ["iterate", "--map", "0.5,0,0.5,0.5", "--start", "4,3"], ["compare"],
+        ["audit", "--target", "banach-bounds"], ["audit", "--target", "tnorm"])),
+    ["audit", "--target", "tnorm", "--tol", "1.5"],
 ])
 def test_nan_tolerance_exits_2(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert ("tolerance must be positive" if "nan" in argv
+    assert captured.err.startswith("error: --tol: ") and captured.err.count("\n") == 1
+    assert ("tolerance must be positive" if argv[argv.index("--tol") + 1] in ("nan", "0", "-1")
             else "tolerance must be below sqrt(2)") in captured.err
     assert "Traceback" not in captured.err
 
@@ -329,6 +334,9 @@ def test_underflowing_widths_exit_2(capsys, argv):
     # numpy's refusal used to name no flag
     *(([*command, "--seed", "-1"], "--seed: must be non-negative") for command in (
         ["compare"], ["audit", "--target", "metric-axioms"], ["audit", "--target", "gv"])),
+    # the library's refusals used to name no flag
+    *(([*command, "--max-iter", "0"], "--max-iter: must be at least 1") for command in (
+        ["compare"], ["audit", "--target", "banach-bounds"])),
 ])
 def test_out_of_range_option_exits_2_naming_it(capsys, argv, message):
     code = main(argv)
@@ -363,6 +371,13 @@ def test_size_options_above_their_limit_exit_2(capsys, flag, excess):
     assert captured.out == ""
     assert captured.err == f"error: {flag}: must be at most {limit}\n"
     assert peak < 2**20  # rejected before any work
+    # and below the lower limit, where the library's message named no flag
+    if flag in SIZE_MINIMA:
+        low = SIZE_MINIMA[flag]
+        assert main(_limit_argv(flag, low - excess)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag}: must be at least {low}\n"
 
 
 def test_size_limits_admit_the_defaults():
@@ -371,7 +386,8 @@ def test_size_limits_admit_the_defaults():
                  "compare", "audit --target tnorm"):
         args = parser.parse_args(argv.split())
         for flag, limit in SIZE_LIMITS.items():
-            assert getattr(args, flag[2:].replace("-", "_"), 0) <= limit
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            assert value is None or SIZE_MINIMA.get(flag, value) <= value <= limit
 
 
 def test_main_ignores_a_later_rebinding_of_build_parser(capsys, monkeypatch):

@@ -22,6 +22,15 @@ PROBE = (GaussianState(0, 1), GaussianState(1, 1))
 def test_interference_identical_states():
     s = GaussianState(0.3, 2.0)
     assert interference_excess(s, s) == 2.0
+    for sigma in (1e-150, 1e150):
+        s = GaussianState(0.0, sigma)
+        assert interference_excess_quadrature(s, s) == 2.0
+    # sigma**2 is not a normal double: (pi*sigma**2)**-0.25 gave 1.9999456 at
+    # 1e-160 and a bare OverflowError at 1e160
+    for sigma, error in ((1e-160, ZeroDivisionError), (1e160, OverflowError)):
+        s = GaussianState(0.0, sigma)
+        with pytest.raises(error, match="sigma"):
+            interference_excess_quadrature(s, s)
 
 
 def test_interference_probe_value_from_overlap():
