@@ -18,8 +18,9 @@ from .compare import build_feature_report, gaussian_parameter_metric, gaussian_s
 from .fuzzy import (TNormKind, absolute_difference, audit_gv_axioms,
                     audit_tnorm_axioms, audit_tnorm_ordering, FuzzyMetric,
                     real_line_sampler)
-from .gaussian import (SQRT2, GaussianState, QuadratureConfig, audit_metric_axioms,
-                       overlap_closed_form, overlap_quadrature, state_distance)
+from .gaussian import (DEFAULT_QUADRATURE, SQRT2, GaussianState, QuadratureConfig,
+                       audit_metric_axioms, overlap_closed_form, overlap_quadrature,
+                       state_distance)
 from .solver import (DEFAULT_TOLERANCE, AffineGaussianMap, NotConvergedError,
                      iterate_to_fixed_point, verify_banach_bounds)
 
@@ -288,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, metavar="MU,SIGMA")
     p.add_argument("--quadrature", action="store_true",
                    help="include the quadrature cross-check")
-    p.add_argument("--half-width", type=float, default=10.0)
-    p.add_argument("--panels", type=int, default=4096)
+    p.add_argument("--half-width", type=float, default=DEFAULT_QUADRATURE.half_width_sigmas)
+    p.add_argument("--panels", type=int, default=DEFAULT_QUADRATURE.panels)
     _add_common(p)
     p.set_defaults(func=_cmd_distance)
 

@@ -15,10 +15,10 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
-# fuzzy_fixed_point and sample_state_pairs are not called here, but
+# evaluate, fuzzy_fixed_point and sample_state_pairs are not called here, but
 # bench/tracing.py patches them by name
 from .fuzzy import FuzzyMetric, FuzzyFixedPointReport, _condition_audit, fuzzy_fixed_point
-from .gaussian import (DEFAULT_QUADRATURE, GaussianState, QuadratureConfig,
+from .gaussian import (DEFAULT_QUADRATURE, GaussianState, QuadratureConfig, _shared_window,
                        _simpson_nodes, evaluate, overlap_closed_form, state_distance)
 from .solver import (DEFAULT_MAX_ITERATIONS, DEFAULT_REGION, DEFAULT_TOLERANCE,
                      AffineGaussianMap, FixedPointReport, NotConvergedError,
@@ -61,11 +61,12 @@ def interference_excess_quadrature(a: GaussianState, b: GaussianState,
                                    cfg: QuadratureConfig | None = None) -> float:
     """Interference excess by direct quadrature of the summed wavefunction.
 
-    Integrates (psi_a + psi_b)^2, psi_a^2 and psi_b^2 on one shared Simpson
-    grid and combines them; independent cross-check of the closed form.
-    Raises ZeroDivisionError where a sigma**2 is below the smallest normal
-    double and OverflowError where it is infinite: the normalization
-    (pi*sigma**2)**-0.25 would otherwise lose precision silently or overflow.
+    Integrates (psi_a + psi_b)^2, psi_a^2 and psi_b^2 on one Simpson grid
+    over the states' shared window, the same window as
+    :func:`overlap_quadrature`, and combines them; independent cross-check of
+    the closed form.  Returns 0.0 where the windows do not meet.  Each
+    sigma**2 must be a normal double: raises ZeroDivisionError below the
+    smallest one and OverflowError where it is infinite.
     """
     import numpy as np
     for sigma in (a.sigma, b.sigma):
@@ -74,17 +75,16 @@ def interference_excess_quadrature(a: GaussianState, b: GaussianState,
         if sigma * sigma == math.inf:
             raise OverflowError("sigma**2 overflows")
     cfg = cfg if cfg is not None else DEFAULT_QUADRATURE
-    w = cfg.half_width_sigmas * max(a.sigma, b.sigma)
-    lo = min(a.mu, b.mu) - w
-    hi = max(a.mu, b.mu) + w
-    _, wts = _simpson_nodes(cfg.panels)
-    npts = wts.size
-    x = np.linspace(lo, hi, npts)
-    ya = evaluate(a, x)
-    yb = evaluate(b, x)
-    h = (hi - lo) / (npts - 1)
+    meet, h, da, ea, db, eb = _shared_window(
+        *map(np.atleast_1d, (a.mu, a.sigma, b.mu, b.sigma)), cfg)
+    if not meet.size:
+        return 0.0
+    t, wts = _simpson_nodes(cfg.panels)
+    ya = (math.sqrt(math.pi) * a.sigma) ** -0.5 * np.exp(-0.5 * (da + ea * t) ** 2)
+    yb = (math.sqrt(math.pi) * b.sigma) ** -0.5 * np.exp(-0.5 * (db + eb * t) ** 2)
+    step = float(h[0]) / 3.0
     def integral(y):
-        return float((y @ wts) * h / 3.0)
+        return float(y @ wts) * step
     return integral((ya + yb) ** 2) - integral(ya**2) - integral(yb**2)
 
 

@@ -57,19 +57,21 @@ class GaussianState:
 class QuadratureConfig:
     """Settings for the truncated composite-Simpson oracle.
 
-    ``half_width_sigmas`` is the truncation radius in units of the wider of
-    the two state widths, from 6 to 40 (exp(-W**2/2) underflows past 38.6,
-    so a wider window adds nothing); ``panels`` is the number of Simpson
-    panels, so the rule evaluates the integrand at ``2 * panels + 1``
-    equispaced nodes.
+    ``half_width_sigmas`` is W, the radius of each state's own window
+    ``[mu - W*sigma, mu + W*sigma]`` in units of that state's width; the rule
+    integrates on the intersection of the two windows.  W runs from 8 to 40:
+    the cut tails are about exp(-W**2/2), which misses the 1e-10 gate below 8
+    (2.9e-9 at W = 6), and exp(-W**2/2) underflows past 38.6, so a wider
+    window adds nothing.  ``panels`` is the number of Simpson panels, so the
+    rule evaluates the integrand at ``2 * panels + 1`` equispaced nodes.
     """
 
     half_width_sigmas: float = 10.0
-    panels: int = 4096
+    panels: int = 128
 
     def __post_init__(self):
-        if not 6.0 <= self.half_width_sigmas <= 40.0:
-            raise ValueError("half_width_sigmas must be between 6 and 40")
+        if not 8.0 <= self.half_width_sigmas <= 40.0:
+            raise ValueError("half_width_sigmas must be between 8 and 40")
         if self.panels < 64 or self.panels % 2 != 0:
             raise ValueError("panels must be even and at least 64")
 
@@ -98,20 +100,52 @@ def overlap_closed_form(a: GaussianState, b: GaussianState) -> float:
     return pref * math.exp(-((a.mu - b.mu) ** 2) / (2.0 * ss))
 
 
-# doubles per quadrature work buffer: 512 KiB, so both buffers fit in L2
+# doubles in the quadrature work buffer: 512 KiB, so it stays in L2
 _NODE_BUDGET = 65536
 
 
 @lru_cache(maxsize=8)
 def _simpson_nodes(panels: int):
-    """Unit-interval node ramp and Simpson weights for 2*panels+1 points."""
+    """Centred node offsets t = -panels..panels and Simpson weights for 2*panels+1 points."""
     import numpy as np
-    n = 2 * panels + 1
-    j = np.arange(n, dtype=float)
-    w = np.ones(n)
+    t = np.arange(-panels, panels + 1, dtype=float)
+    w = np.ones(t.size)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return j, w
+    return t, w
+
+
+def _shared_window(mu1, sigma1, mu2, sigma2, cfg: QuadratureConfig):
+    """Where the two states' windows meet, and the Simpson rule's node map there.
+
+    Positions are measured from the peak of psi_1*psi_2, so state i sits at
+    o_i = (mu_i - mu_j) * sigma_i**2 / (sigma_1**2 + sigma_2**2): the narrow
+    state's offset is small and exact to rounding, and its window does not
+    collapse into one ulp of a large centre at any width ratio.  The window is
+    the intersection [lo, hi] = [max(o_i - W*sigma_i), min(o_i + W*sigma_i)]
+    of the states' own windows, so every node has |z_1|, |z_2| <= W.
+    Returns ``meet``, the indices of the pairs with hi > lo, and for those
+    pairs the node spacing ``h`` and each state's standardized node position
+    as a linear function z_i = d_i + e_i*t of the centred node offset t.
+    Every quantity swaps with the two states, so swapped arguments give
+    bitwise-equal results.
+    """
+    import numpy as np
+    # a radius that overflows covers the line; an offset overflows only for
+    # centres about 1e308 apart, where the overlap is far below the 1e-10
+    # gate, and the NaN of inf - inf then fails hi > lo
+    with np.errstate(over="ignore", invalid="ignore"):
+        o1 = (0.5 * mu1 - 0.5 * mu2) * (2.0 / (1.0 + (sigma2 / sigma1) ** 2))
+        o2 = (0.5 * mu2 - 0.5 * mu1) * (2.0 / (1.0 + (sigma1 / sigma2) ** 2))
+        r1 = cfg.half_width_sigmas * sigma1
+        r2 = cfg.half_width_sigmas * sigma2
+        lo = np.maximum(o1 - r1, o2 - r2)
+        hi = np.minimum(o1 + r1, o2 + r2)
+        meet = np.flatnonzero(hi > lo)
+    lo, hi, s1, s2 = lo[meet], hi[meet], sigma1[meet], sigma2[meet]
+    centre = 0.5 * lo + 0.5 * hi
+    h = (hi - lo) / (2 * cfg.panels)
+    return meet, h, (centre - o1[meet]) / s1, h / s1, (centre - o2[meet]) / s2, h / s2
 
 
 def overlap_quadrature_many(mu1, sigma1, mu2, sigma2,
@@ -121,10 +155,13 @@ def overlap_quadrature_many(mu1, sigma1, mu2, sigma2,
     Same rule as :func:`overlap_quadrature`.  The four inputs must be finite
     1-D arrays (or scalars) of one common size, with every sigma > 0; raises
     ZeroDivisionError where (sigma1*sigma2)**2 is below the smallest normal
-    double and OverflowError where it is infinite.  Pairs are evaluated in
-    chunks of ``max(1, _NODE_BUDGET // (2*panels + 1))`` rows, so each of the
-    two work buffers holds at most ``_NODE_BUDGET`` doubles (512 KiB) and both
-    stay in a per-core L2 cache.
+    double and OverflowError where it is infinite.  The exponent
+    -(z_1**2 + z_2**2)/2 is one quadratic (A*t + B)*t + C in the centred node
+    offset t, so near the integrand's peak no large terms cancel.  Pairs
+    whose windows meet are evaluated in chunks of
+    ``max(1, _NODE_BUDGET // (2*panels + 1))`` rows, so the work buffer holds
+    at most ``_NODE_BUDGET`` doubles (512 KiB) and stays in a per-core L2
+    cache.
     """
     import numpy as np
     cfg = cfg if cfg is not None else DEFAULT_QUADRATURE
@@ -142,48 +179,41 @@ def overlap_quadrature_many(mu1, sigma1, mu2, sigma2,
         raise ZeroDivisionError("(sigma1*sigma2)**2 underflows")
     if (width_sq == math.inf).any():
         raise OverflowError("(sigma1*sigma2)**2 overflows")
-    jr, wts = _simpson_nodes(cfg.panels)
-    npts = jr.size
-    rows = max(1, _NODE_BUDGET // npts)
-    out = np.empty(mu1.size)
-    buf1 = np.empty((min(rows, mu1.size), npts))
-    buf2 = np.empty_like(buf1)
-    for i in range(0, mu1.size, rows):
-        sl = slice(i, min(i + rows, mu1.size))
-        m1, s1, m2, s2 = mu1[sl], sigma1[sl], mu2[sl], sigma2[sl]
-        w = cfg.half_width_sigmas * np.maximum(s1, s2)
-        lo = np.minimum(m1, m2) - w
-        hi = np.maximum(m1, m2) + w
-        h = (hi - lo) / (npts - 1)
-        # z_j = (lo + j*h - mu)/sigma evaluated as a linear ramp in j
-        b1 = buf1[: m1.size]
-        b2 = buf2[: m1.size]
-        np.multiply.outer(h / s1, jr, out=b1)
-        b1 += ((lo - m1) / s1)[:, None]
-        b1 *= b1
-        np.multiply.outer(h / s2, jr, out=b2)
-        b2 += ((lo - m2) / s2)[:, None]
-        b2 *= b2
-        b1 += b2
-        b1 *= -0.5
-        np.exp(b1, out=b1)
-        b1 *= wts
+    meet, h, d1, e1, d2, e2 = _shared_window(mu1, sigma1, mu2, sigma2, cfg)
+    # sums of per-state terms keep the result bitwise symmetric under argument swap
+    qa = -0.5 * (e1 * e1 + e2 * e2)
+    qb = -(d1 * e1 + d2 * e2)
+    qc = -0.5 * (d1 * d1 + d2 * d2)
+    pref = ((math.pi * math.pi) * width_sq[meet]) ** -0.25
+    t, wts = _simpson_nodes(cfg.panels)
+    rows = max(1, _NODE_BUDGET // t.size)
+    out = np.zeros(mu1.size)
+    buf = np.empty((min(rows, meet.size), t.size))
+    for i in range(0, meet.size, rows):
+        sl = slice(i, i + rows)
+        b = buf[: meet[sl].size]
+        np.multiply.outer(qa[sl], t, out=b)
+        b += qb[sl, None]
+        b *= t
+        b += qc[sl, None]
+        np.exp(b, out=b)
+        b *= wts
         # row-wise pairwise summation is independent of the chunk size, so
         # batched results match one-pair calls bitwise
-        total = b1.sum(axis=1)
-        # grouping keeps the result bitwise symmetric under argument swap
-        pref = ((math.pi * math.pi) * width_sq[sl]) ** -0.25
-        out[sl] = pref * total * h / 3.0
+        out[meet[sl]] = pref[sl] * b.sum(axis=1) * h[sl] / 3.0
     return out
 
 
 def overlap_quadrature(a: GaussianState, b: GaussianState,
                        cfg: QuadratureConfig | None = None) -> float:
-    """Numerically integrate psi_a(x) * psi_b(x) on a truncated interval.
+    """Numerically integrate psi_a(x) * psi_b(x) on the states' shared window.
 
-    The interval is [min(mu) - W, max(mu) + W] with
-    W = half_width_sigmas * max(sigma).  Independent of the closed form;
-    agrees with it to well below 1e-10 at the default configuration.
+    The window is the intersection of [mu - W*sigma, mu + W*sigma] over the
+    two states, with W = half_width_sigmas.  Where the windows do not meet
+    the result is exactly 0.0; the true overlap is then below exp(-W**2/2).
+    Independent of the closed form; agrees with it to within 1e-15 on the
+    acceptance grid and to well below 1e-10 at any width ratio at the
+    default configuration.
     """
     import numpy as np
     out = overlap_quadrature_many(

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,27 @@ def test_distance_quadrature_cross_check(capsys):
     doc = json.loads(out)
     assert doc["result"]["overlap_closed_form"] == pytest.approx(math.sqrt(0.8), abs=1e-15)
     assert doc["result"]["quadrature_discrepancy"] < 1e-10
+
+
+@pytest.mark.parametrize("a, b", [
+    # the window used to scale with the wide state, so the narrow one fell
+    # between the nodes: overlap_quadrature 0.0918 against 0.0141, exit 0
+    ("0,0.01", "0,100"),
+    ("-3,1e-3", "5,1000"),
+    # windows that do not meet: used to print numpy overflow warnings on stderr
+    ("0,1e-10", "1e150,1e-10"),
+    # windows narrower than one ulp of the centres: used to print 0
+    ("1e150,1e-10", "1e150,1e-10"),
+    ("0,1", "1,1e-19"),
+])
+def test_distance_quadrature_holds_at_any_width_ratio(capsys, a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["distance", f"--a={a}", f"--b={b}", "--quadrature", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert json.loads(captured.out)["result"]["quadrature_discrepancy"] <= 1e-10
 
 
 def test_distance_invalid_sigma_exits_2(capsys):
@@ -329,7 +351,7 @@ def test_underflowing_widths_exit_2(capsys, argv):
 @pytest.mark.parametrize("argv, message", [
     # used to print overflow warnings and an overlap of 9.18e295 with exit 0
     *((["distance", "--a", "0,1", "--b", "0,1", "--quadrature", "--half-width", "1e300",
-        "--format", fmt], "--half-width/--panels: half_width_sigmas must be between 6 and 40")
+        "--format", fmt], "--half-width/--panels: half_width_sigmas must be between 8 and 40")
       for fmt in ("table", "csv")),
     # numpy's refusal used to name no flag
     *(([*command, "--seed", "-1"], "--seed: must be non-negative") for command in (
@@ -515,7 +537,10 @@ def test_exit_codes_end_to_end():
 # taken before the output layer was rewritten (numpy 2.4.6, x86-64 Linux); a
 # different libm or numpy may move the last printed digit of some floats.  The
 # three compare json digests were re-taken when fuzzy_condition gained the
-# estimated and the audited contraction factor.
+# estimated and the audited contraction factor, the three distance-quadrature
+# digests when the oracle moved to the states' shared window at 128 panels
+# (the overlap's last digit), and distance-json with them, because its inputs
+# echo the default panel count.
 GOLDEN_ARGVS = {
     "distance": ["distance", "--a", "0,1", "--b", "2,1"],
     "distance-quadrature": ["distance", "--a", "0,1", "--b", "0.5,2", "--quadrature"],
@@ -538,12 +563,12 @@ GOLDEN_ARGVS = {
 }
 
 GOLDEN_DIGESTS = {
-    "distance-json": "e94a98b6b44ea0d4aa67ec5c5d48ebc161e431cb346e18edd943be4cc7fddf86",
+    "distance-json": "4e26ed40b682168bb911763eedb10912b165f031e645b4a12788b58ea64843d8",
     "distance-csv": "279f34bcb026bcf985f04539d2725568e20d009bc875e7ff7c20458d22d8342c",
     "distance-table": "65d47f73170e9a3f04e330f87e2c219cdaab6634fde4eb57d40989b54f29abe8",
-    "distance-quadrature-json": "0af44ee13e376d212120f7a61c04508bbcab59b424985fed72fe5e04900bb6b4",
-    "distance-quadrature-csv": "0dad485679948e70d30c3bef08be397080c4495a997f82d6b78365f95a4a609d",
-    "distance-quadrature-table": "e0bd32a44eaf9b7c524745232c8443ac3afd0acb5dd7d20bc04682df8c786bf5",
+    "distance-quadrature-json": "ae4de583c1f346565f2b925451613eccd5bc3281875726b270285e7e09691305",
+    "distance-quadrature-csv": "850820aae68acf4f5d6dd55535c1a78424eb81fdb6bb761f03234f21043a1c38",
+    "distance-quadrature-table": "b785c05c5bd0d1ea1ed996126fca267ccc5f42df813d04e40b123adf7847a168",
     "iterate-json": "feae2ad44e83a3ed5881821f0fc08878b288a269ccd9bbbf4e6088994731212b",
     "iterate-csv": "7641de3b1ac005da6c1abfa3a64c0c476959c96f2f1b87cc88d9152f2ade2c13",
     "iterate-table": "c8a7a45c2f0c288c9147e7e947697e84885133fb012f851cc9900eebabd80ea0",

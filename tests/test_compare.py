@@ -62,6 +62,21 @@ def test_interference_quadrature_cross_check_various():
                    - interference_excess_quadrature(a, b)) < 1e-12
 
 
+def test_interference_quadrature_holds_at_any_width_ratio():
+    # on a window scaled by the wider state this was up to 0.34 off here
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        a, b = (GaussianState(rng.uniform(-10, 10), 10.0 ** rng.uniform(-3, 3))
+                for _ in range(2))
+        assert abs(interference_excess(a, b) - interference_excess_quadrature(a, b)) < 1e-12
+
+
+def test_interference_quadrature_is_zero_where_windows_do_not_meet():
+    a, b = GaussianState(0.0, 1e-10), GaussianState(1e150, 1e-10)
+    assert interference_excess_quadrature(a, b) == 0.0
+    assert interference_excess_quadrature(b, a) == 0.0
+
+
 # ------------------------------------------------------------ feature report
 
 @pytest.fixture(scope="module")

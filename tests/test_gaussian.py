@@ -31,8 +31,8 @@ def test_state_requires_positive_sigma():
 def test_quadrature_config_invariants():
     with pytest.raises(ValueError):
         QuadratureConfig(half_width_sigmas=5.0)
-    for wide in (41.0, 1e300):
-        with pytest.raises(ValueError, match="between 6 and 40"):
+    for wide in (6.0, 7.9, 41.0, 1e300):
+        with pytest.raises(ValueError, match="between 8 and 40"):
             QuadratureConfig(half_width_sigmas=wide)
     assert QuadratureConfig(half_width_sigmas=40.0).half_width_sigmas == 40.0
     with pytest.raises(ValueError):
@@ -40,7 +40,7 @@ def test_quadrature_config_invariants():
     with pytest.raises(ValueError):
         QuadratureConfig(panels=65)  # odd
     assert DEFAULT_QUADRATURE.half_width_sigmas == 10.0
-    assert DEFAULT_QUADRATURE.panels == 4096
+    assert DEFAULT_QUADRATURE.panels == 128
 
 
 # ----------------------------------------------------------------- evaluate
@@ -128,6 +128,35 @@ def test_overlap_quadrature_many_spans_chunks_bitwise(panels):
         one = overlap_quadrature(GaussianState(mu[0, i], sg[0, i]),
                                  GaussianState(mu[1, i], sg[1, i]), cfg)
         assert batch[i] == one
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT_QUADRATURE, QuadratureConfig(8.0),
+                                 QuadratureConfig(40.0)], ids=["default", "W8", "W40"])
+def test_overlap_quadrature_many_holds_at_any_width_ratio(cfg):
+    # widths over six decades: a window scaled by the wider state left the
+    # narrow one between nodes, 0.49 off on these pairs at 4096 panels
+    rng = np.random.default_rng(11)
+    mu = rng.uniform(-10, 10, (2, 20000))
+    sg = 10.0 ** rng.uniform(-3, 3, (2, 20000))
+    quad = overlap_quadrature_many(mu[0], sg[0], mu[1], sg[1], cfg)
+    ss = sg[0] ** 2 + sg[1] ** 2
+    closed = np.sqrt(2.0 * sg[0] * sg[1] / ss) * np.exp(-((mu[0] - mu[1]) ** 2) / (2.0 * ss))
+    assert np.max(np.abs(quad - closed)) <= 1e-10
+
+
+def test_overlap_quadrature_many_is_zero_where_windows_do_not_meet():
+    # the middle pair's windows [mu - 10 sigma, mu + 10 sigma] are 1e150 apart
+    mu1, sg1 = np.array([0.0, 0.0, -3.0]), np.array([1.0, 1e-10, 0.5])
+    mu2, sg2 = np.array([0.5, 1e150, 4.0]), np.array([2.0, 1e-10, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = overlap_quadrature_many(mu1, sg1, mu2, sg2)
+    assert out[1] == 0.0
+    # the other rows are bitwise what they are in a batch without that pair
+    keep = [0, 2]
+    assert np.array_equal(out[keep], overlap_quadrature_many(mu1[keep], sg1[keep],
+                                                             mu2[keep], sg2[keep]))
+    assert out[0] > 0.5 and out[2] > 0.0
 
 
 @pytest.mark.parametrize("args", [
