@@ -15,16 +15,15 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
-# evaluate, fuzzy_fixed_point and sample_state_pairs are not called here, but
-# bench/tracing.py patches them by name
+# evaluate, estimate_contraction_factor, fuzzy_fixed_point and sample_state_pairs
+# are not called here, but bench/tracing.py patches them by name
 from .fuzzy import FuzzyMetric, FuzzyFixedPointReport, _condition_audit, fuzzy_fixed_point
 from .gaussian import (DEFAULT_QUADRATURE, GaussianState, QuadratureConfig, _shared_window,
                        _simpson_nodes, evaluate, overlap_closed_form, state_distance)
 from .solver import (DEFAULT_MAX_ITERATIONS, DEFAULT_REGION, DEFAULT_TOLERANCE,
                      AffineGaussianMap, FixedPointReport, NotConvergedError,
-                     ParameterBox, _distances_under_map, _sample_pair_params,
-                     estimate_contraction_factor, iterate_to_fixed_point,
-                     sample_state_pairs)
+                     ParameterBox, _estimator_sample, estimate_contraction_factor,
+                     iterate_to_fixed_point, sample_state_pairs)
 
 __all__ = [
     "ContractionOutcome",
@@ -139,24 +138,21 @@ def build_feature_report(m: AffineGaussianMap, start: GaussianState,
     The fuzzy contraction in the state distance is the same Picard iteration
     as the quantum one, so the fuzzy report and outcome are built from the
     quantum trace and ``agreement_distance`` is 0 by construction.  What the
-    fuzzy side adds is its condition audit: the contraction factor is
-    estimated on ``region``, and the condition is audited on the same
-    sampled pairs' parameter arrays, with 16 t values per pair; states are
-    built only for a witness, and no base distance is called.  Raises
-    NotConvergedError if the iteration exhausts its budget.
+    fuzzy side adds is its condition audit, on the ``condition_samples`` pairs
+    that estimate_contraction_factor draws from ``region`` with this seed:
+    they are measured once, for ``k_estimate`` and for the audit's 16 t values
+    per pair; states are built only for a witness, and no base distance is
+    called.  Raises NotConvergedError if the iteration exhausts its budget.
     """
     import numpy as np
     quantum = iterate_to_fixed_point(m, start, tolerance, max_iterations)
     if not quantum.converged:
         raise NotConvergedError("quantum iteration did not converge", report=quantum)
 
-    k_raw = estimate_contraction_factor(m, region, condition_samples, rng_seed)
+    (mu1, sg1, mu2, sg2), d, d_f, k_raw = _estimator_sample(m, region, condition_samples, rng_seed)
     # the condition requires k strictly inside (0, 1); the constant map
     # estimates k = 0, any positive factor below 1 certifies it
     k = min(max(k_raw, 1e-6), 1.0 - 1e-12)
-    mu1, sg1, mu2, sg2 = _sample_pair_params(region, condition_samples,
-                                             np.random.default_rng(rng_seed))
-    d, d_f = _distances_under_map(m, mu1, sg1, mu2, sg2)
     condition = _condition_audit(
         d, d_f, k, np.random.default_rng(rng_seed),
         lambda i: (GaussianState(mu1[i], sg1[i]), GaussianState(mu2[i], sg2[i])))

@@ -37,6 +37,9 @@ AUDIT_SLACK = 1e-12
 
 T_RANGE = (1e-3, 1e3)
 LOG_T_RANGE = (math.log10(T_RANGE[0]), math.log10(T_RANGE[1]))
+# (pair, t) samples per condition-audit block: 64 KiB per float64 temporary, under
+# glibc's mmap threshold, so blocks reuse heap memory instead of faulting in pages
+_AUDIT_BLOCK = 8192
 
 
 class TNormKind(str, Enum):
@@ -128,15 +131,19 @@ class FuzzyMetric:
     tnorm: TNormKind = TNormKind.PRODUCT
 
 
-def _grade(t, d):
+def _grade(t, d, out=None):
     """The membership formula t / (t + d), taken as 0 where t = 0.
 
     ``t`` and ``d`` broadcast, so one call grades a whole sweep of t values.
+    The grades are written to ``out`` when given; it must not overlap ``t``.
     """
     import numpy as np
     t = np.asarray(t, dtype=float)
+    out = np.empty(np.broadcast_shapes(t.shape, np.shape(d))) if out is None else out
     with np.errstate(invalid="ignore"):
-        return np.where(t == 0.0, 0.0, t / (t + d))
+        np.divide(t, np.add(t, d, out=out), out=out)
+    np.copyto(out, 0.0, where=t == 0.0)
+    return out
 
 
 def _distances(fm: FuzzyMetric, pairs) -> "np.ndarray":
@@ -265,23 +272,29 @@ def _condition_audit(d, d_f, k: float, rng: "np.random.Generator", pair_at: Call
     The 1-D arrays ``d`` and ``d_f`` hold d(x, y) and d(f(x), f(y)) per
     pair.  Each pair gets a row of ``t_samples`` t values drawn log-uniformly
     over T_RANGE from ``rng``.  The witness is the first violation in
-    pair-major order, and ``pair_at(i)`` gives the (x, y) it names.
+    pair-major order, and ``pair_at(i)`` gives the (x, y) it names.  Pairs
+    are graded in blocks of at most _AUDIT_BLOCK samples, drawing each
+    block's t values in turn from the one sequential stream, so the result is
+    bitwise that of one draw over all pairs.
     """
     import numpy as np
-    ts = 10.0 ** rng.uniform(*LOG_T_RANGE, (d.size, t_samples))
-    margin = _grade(k * ts, d_f[:, None]) - _grade(ts, d[:, None])
-    failed = margin < -AUDIT_SLACK
-    bad = _first(failed)
-    witness = None
-    if bad is not None:
-        x, y = pair_at(int(bad[0]))
-        witness = {"x": x, "y": y, "t": float(ts[bad]), "margin": float(margin[bad])}
-    # fmin/fmax skip NaN margins, as the comparisons that count violations do
-    return GSConditionAudit(
-        samples=margin.size, violations=int(failed.sum()),
-        min_margin=float(np.fmin.reduce(margin, axis=None, initial=math.inf)),
-        max_abs_margin=float(np.fmax.reduce(np.abs(margin), axis=None, initial=0.0)),
-        witness=witness, holds=not failed.any())
+    rows = max(1, _AUDIT_BLOCK // max(t_samples, 1))
+    violations, min_margin, max_abs, witness = 0, math.inf, 0.0, None
+    for lo in range(0, d.size, rows):
+        ts = 10.0 ** rng.uniform(*LOG_T_RANGE, (min(rows, d.size - lo), t_samples))
+        kt = k * ts
+        margin = _grade(kt, d_f[lo:lo + rows, None])
+        margin -= _grade(ts, d[lo:lo + rows, None], out=kt)
+        failed = margin < -AUDIT_SLACK
+        violations += int(np.count_nonzero(failed))
+        if witness is None and (bad := _first(failed)) is not None:
+            x, y = pair_at(lo + int(bad[0]))
+            witness = {"x": x, "y": y, "t": float(ts[bad]), "margin": float(margin[bad])}
+        # fmin/fmax skip NaN margins, as the comparisons that count violations do
+        min_margin = np.fmin.reduce(margin, axis=None, initial=min_margin)
+        max_abs = np.fmax.reduce(np.abs(margin, out=margin), axis=None, initial=max_abs)
+    return GSConditionAudit(d.size * t_samples, violations, float(min_margin), float(max_abs),
+                            witness, holds=violations == 0)
 
 
 def fuzzy_fixed_point(fm: FuzzyMetric, f: Callable, k: float, start,

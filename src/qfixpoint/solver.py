@@ -158,14 +158,6 @@ def _sample_pair_params(region: ParameterBox, samples: int, rng: "np.random.Gene
     return mu1, sg1, mu2, sg2
 
 
-def _distances_under_map(m: AffineGaussianMap, mu1, sg1, mu2, sg2):
-    """d(a, b) and d(Ta, Tb) for arrays of pair parameters, mapped as apply_map does."""
-    return (distance_from_params(mu1, sg1, mu2, sg2),
-            distance_from_params(
-                m.mu_scale * mu1 + m.mu_shift, m.sigma_scale * sg1 + m.sigma_shift,
-                m.mu_scale * mu2 + m.mu_shift, m.sigma_scale * sg2 + m.sigma_shift))
-
-
 def sample_state_pairs(region: ParameterBox, samples: int,
                        rng: "np.random.Generator") -> list[tuple[GaussianState, GaussianState]]:
     """Draw uniform state pairs from a parameter box (same stream as the estimator)."""
@@ -174,24 +166,33 @@ def sample_state_pairs(region: ParameterBox, samples: int,
             for a, b, c, d in zip(mu1, sg1, mu2, sg2)]
 
 
+def _estimator_sample(m: AffineGaussianMap, region: ParameterBox, samples: int, rng_seed: int):
+    """estimate_contraction_factor's pairs (mu1, sg1, mu2, sg2), d(a, b), d(Ta, Tb) and k."""
+    import numpy as np
+    if samples < 100:
+        raise ValueError("samples must be at least 100")
+    params = mu1, sg1, mu2, sg2 = _sample_pair_params(region, samples,
+                                                      np.random.default_rng(rng_seed))
+    d = distance_from_params(*params)
+    # each pair mapped as apply_map does
+    d_f = distance_from_params(m.mu_scale * mu1 + m.mu_shift, m.sigma_scale * sg1 + m.sigma_shift,
+                               m.mu_scale * mu2 + m.mu_shift, m.sigma_scale * sg2 + m.sigma_shift)
+    mask = d >= 1e-12
+    if not mask.any():
+        raise DegenerateRegionError("all sampled pairs are closer than 1e-12")
+    return params, d, d_f, float(np.max(d_f[mask] / d[mask]))
+
+
 def estimate_contraction_factor(m: AffineGaussianMap, region: ParameterBox,
                                 samples: int = 10000, rng_seed: int = 0) -> float:
     """Empirical contraction factor of the map in the state distance.
 
     Returns the largest ratio d(Ta, Tb) / d(a, b) over ``samples`` uniform
     pairs from ``region``, skipping pairs closer than 1e-12.  Deterministic
-    for a fixed ``rng_seed``.  Raises DegenerateRegionError when every
-    sampled pair is skipped.
+    for a fixed ``rng_seed``.  Raises ValueError below 100 samples and
+    DegenerateRegionError when every sampled pair is skipped.
     """
-    import numpy as np
-    if samples < 100:
-        raise ValueError("samples must be at least 100")
-    rng = np.random.default_rng(rng_seed)
-    d_pre, d_post = _distances_under_map(m, *_sample_pair_params(region, samples, rng))
-    mask = d_pre >= 1e-12
-    if not mask.any():
-        raise DegenerateRegionError("all sampled pairs are closer than 1e-12")
-    return float(np.max(d_post[mask] / d_pre[mask]))
+    return _estimator_sample(m, region, samples, rng_seed)[-1]
 
 
 def _iterate(step: Callable, distance: Callable, start, tolerance: float,

@@ -11,8 +11,10 @@ from qfixpoint.compare import (OUT_OF_SCOPE_NOTES, build_feature_report,
 from qfixpoint.fuzzy import fuzzy_fixed_point
 from qfixpoint.gaussian import GaussianState, state_distance
 from qfixpoint.solver import (DEFAULT_MAPS, DEFAULT_REGION, DEFAULT_STARTS,
-                              AffineGaussianMap, NotConvergedError, analytic_fixed_point,
-                              apply_map, iterate_to_fixed_point, sample_state_pairs)
+                              AffineGaussianMap, DegenerateRegionError, NotConvergedError,
+                              ParameterBox, analytic_fixed_point, apply_map,
+                              estimate_contraction_factor, iterate_to_fixed_point,
+                              sample_state_pairs)
 
 PROBE = (GaussianState(0, 1), GaussianState(1, 1))
 
@@ -22,9 +24,11 @@ PROBE = (GaussianState(0, 1), GaussianState(1, 1))
 def test_interference_identical_states():
     s = GaussianState(0.3, 2.0)
     assert interference_excess(s, s) == 2.0
-    for sigma in (1e-150, 1e150):
-        s = GaussianState(0.0, sigma)
-        assert interference_excess_quadrature(s, s) == 2.0
+    # the quadrature's three integrals round differently at each width: the
+    # excess is exactly 2.0 at 26 of these 62 widths and 2 ulps off at others
+    for sigma in (1e-150, 1e150, 0.3, 1.0, 2.0, *np.geomspace(1e-100, 1e100, 57)):
+        s = GaussianState(0.0, float(sigma))
+        assert abs(interference_excess_quadrature(s, s) - 2.0) <= 4 * math.ulp(2.0), sigma
     # sigma**2 is not a normal double: (pi*sigma**2)**-0.25 gave 1.9999456 at
     # 1e-160 and a bare OverflowError at 1e160
     for sigma, error in ((1e-160, ZeroDivisionError), (1e160, OverflowError)):
@@ -131,6 +135,22 @@ def test_feature_report_condition_audit_equals_generic_audit(m, seed):
         assert got.witness["margin"] == close(want.witness["margin"])
     else:
         assert got.witness is want.witness is None
+
+
+@pytest.mark.parametrize("m", [*DEFAULT_MAPS, AffineGaussianMap(0.95, 0.0, 0.3, 0.2)])
+def test_feature_report_k_estimate_is_the_estimator_on_the_audited_sample(m):
+    # the report measures its sampled pairs once, for k_estimate and the audit
+    for seed in range(10):
+        report = build_feature_report(m, GaussianState(4, 3), PROBE, rng_seed=seed)
+        assert report.k_estimate == estimate_contraction_factor(m, DEFAULT_REGION, 2000, seed)
+
+
+def test_feature_report_rejects_a_degenerate_region_and_too_few_samples():
+    with pytest.raises(DegenerateRegionError):
+        build_feature_report(DEFAULT_MAPS[0], GaussianState(4, 3), PROBE,
+                             region=ParameterBox(1.0, 1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="samples must be at least 100"):
+        build_feature_report(DEFAULT_MAPS[0], GaussianState(4, 3), PROBE, condition_samples=50)
 
 
 def test_feature_report_runs_the_iteration_once(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfixpoint.compare import gaussian_parameter_metric, gaussian_state_sampler
-from qfixpoint.fuzzy import (AUDIT_SLACK, T_RANGE, FuzzyMetric, TNormKind,
-                             _tnorm_fn, absolute_difference, audit_gv_axioms,
+from qfixpoint.fuzzy import (_AUDIT_BLOCK, AUDIT_SLACK, T_RANGE, FuzzyMetric, TNormKind,
+                             _condition_audit, _tnorm_fn, absolute_difference, audit_gv_axioms,
                              audit_tnorm_axioms, audit_tnorm_ordering,
                              fuzzy_fixed_point, fuzzy_membership,
                              real_line_sampler, tnorm_eval)
@@ -373,6 +374,49 @@ def test_condition_audit_equals_scalar_loop(fm, f, k, sampler, holds):
     assert c.min_margin == min_margin
     assert c.max_abs_margin == max_abs
     assert c.witness == witness
+
+
+@pytest.mark.parametrize("t_samples, pairs", [
+    (16, _AUDIT_BLOCK // 16 - 1), (16, _AUDIT_BLOCK // 16), (16, _AUDIT_BLOCK // 16 + 1),
+    (16, 2 * (_AUDIT_BLOCK // 16) + 3), (7, 2 * (_AUDIT_BLOCK // 7) + 3),
+])
+def test_blocked_condition_audit_equals_scalar_loop(t_samples, pairs):
+    rows = _AUDIT_BLOCK // t_samples  # pairs per block
+    # pair i starts at x = i; f halves the first block's distances (the
+    # condition holds at k = 0.6) and triples the later ones, so the first
+    # violation is the second block's first pair; d(x, y) is NaN from the
+    # third block's second pair on, and f maps those points below 0
+    def f(x):
+        return x / 2 if x < rows else -3.0 * x
+    fm = FuzzyMetric(base_distance=lambda x, y: math.nan if x > 2 * rows + 0.5 else abs(x - y))
+    gaps = np.random.default_rng(5).uniform(0.01, 0.5, pairs)
+    condition_pairs = [(float(i), i + float(g)) for i, g in enumerate(gaps)]
+    c = fuzzy_fixed_point(fm, f, 0.6, 0.0, 1e-12, 5, condition_pairs=condition_pairs,
+                          t_samples=t_samples, rng_seed=3).condition
+    want = _scalar_condition(fm, f, 0.6, condition_pairs, t_samples, np.random.default_rng(3))
+    assert (c.samples, c.violations, c.min_margin, c.max_abs_margin, c.witness) == want
+    assert c.holds is (pairs <= rows)
+    if pairs > rows:
+        assert c.witness["x"] == float(rows)
+
+
+def test_condition_audit_memory_does_not_grow_with_pair_count():
+    peaks = []
+    for pairs in (2000, 20000):
+        d = np.random.default_rng(1).uniform(0.0, 1.0, pairs)
+        d_f = d / 2  # violates the condition at k = 0.3, so a witness is built
+        _condition_audit(d, d_f, 0.3, np.random.default_rng(0), lambda i: (i, i))
+        tracemalloc.start()
+        try:
+            _condition_audit(d, d_f, 0.3, np.random.default_rng(0), lambda i: (i, i))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    # the peak is a few block-sized temporaries, about 330 KiB; grading all
+    # pairs at once takes about 0.5 KiB per pair, 10 MiB at 20,000 pairs
+    assert peaks[1] <= 1.05 * peaks[0]
+    assert peaks[0] < 8 * 8 * _AUDIT_BLOCK
 
 
 def _asymmetric(x, y):
