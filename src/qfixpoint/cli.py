@@ -21,8 +21,8 @@ from .fuzzy import (TNormKind, absolute_difference, audit_gv_axioms,
 from .gaussian import (DEFAULT_QUADRATURE, SQRT2, GaussianState, QuadratureConfig,
                        audit_metric_axioms, overlap_closed_form, overlap_quadrature,
                        state_distance)
-from .solver import (DEFAULT_TOLERANCE, AffineGaussianMap, NotConvergedError,
-                     iterate_to_fixed_point, verify_banach_bounds)
+from .solver import (DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, AffineGaussianMap,
+                     NotConvergedError, iterate_to_fixed_point, verify_banach_bounds)
 
 SCHEMA_VERSION = 1
 
@@ -297,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iterate", help="run the contraction iteration")
     p.add_argument("--map", required=True, metavar="MU_SCALE,MU_SHIFT,SIGMA_SCALE,SIGMA_SHIFT")
     p.add_argument("--start", required=True, metavar="MU,SIGMA")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS)
     _add_common(p)
     p.set_defaults(func=_cmd_iterate)
 
@@ -315,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--map", default="0.5,0,0.5,0.5")
     p.add_argument("--start", default="4,3")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS)
     p.add_argument("--k", type=float, default=None,
                    help="contraction factor for banach-bounds (default: trace estimate)")
     _add_common(p)
@@ -327,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", default="4,3")
     p.add_argument("--probe-a", default="0,1")
     p.add_argument("--probe-b", default="1,1")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=_cmd_compare)

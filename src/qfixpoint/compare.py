@@ -22,7 +22,7 @@ from .gaussian import (DEFAULT_QUADRATURE, GaussianState, QuadratureConfig, _sha
                        _simpson_nodes, evaluate, overlap_closed_form, state_distance)
 from .solver import (DEFAULT_MAX_ITERATIONS, DEFAULT_REGION, DEFAULT_TOLERANCE,
                      AffineGaussianMap, FixedPointReport, NotConvergedError,
-                     ParameterBox, _estimator_sample, estimate_contraction_factor,
+                     _estimator_sample, estimate_contraction_factor,
                      iterate_to_fixed_point, sample_state_pairs)
 
 __all__ = [
@@ -92,11 +92,11 @@ def gaussian_parameter_metric() -> FuzzyMetric:
     return FuzzyMetric(base_distance=state_distance)
 
 
-def gaussian_state_sampler(region: ParameterBox = DEFAULT_REGION) -> Callable:
-    """Uniform carrier-point sampler over a state parameter box."""
+def gaussian_state_sampler() -> Callable:
+    """Uniform carrier-point sampler over DEFAULT_REGION's state parameter box."""
     def sample(rng: "np.random.Generator") -> GaussianState:
-        return GaussianState(float(rng.uniform(region.mu_lo, region.mu_hi)),
-                             float(rng.uniform(region.sigma_lo, region.sigma_hi)))
+        return GaussianState(float(rng.uniform(DEFAULT_REGION.mu_lo, DEFAULT_REGION.mu_hi)),
+                             float(rng.uniform(DEFAULT_REGION.sigma_lo, DEFAULT_REGION.sigma_hi)))
     return sample
 
 
@@ -130,16 +130,14 @@ def build_feature_report(m: AffineGaussianMap, start: GaussianState,
                          probe_pair: tuple[GaussianState, GaussianState],
                          tolerance: float = DEFAULT_TOLERANCE,
                          max_iterations: int = DEFAULT_MAX_ITERATIONS,
-                         rng_seed: int = 0,
-                         region: ParameterBox = DEFAULT_REGION,
-                         condition_samples: int = 2000) -> FeatureReport:
+                         rng_seed: int = 0) -> FeatureReport:
     """Run the iteration once and assemble both frameworks' view of it.
 
     The fuzzy contraction in the state distance is the same Picard iteration
     as the quantum one, so the fuzzy report and outcome are built from the
     quantum trace and ``agreement_distance`` is 0 by construction.  What the
-    fuzzy side adds is its condition audit, on the ``condition_samples`` pairs
-    that estimate_contraction_factor draws from ``region`` with this seed:
+    fuzzy side adds is its condition audit, on the 2000 pairs that
+    estimate_contraction_factor draws from DEFAULT_REGION with this seed:
     they are measured once, for ``k_estimate`` and for the audit's 16 t values
     per pair; states are built only for a witness, and no base distance is
     called.  Raises NotConvergedError if the iteration exhausts its budget.
@@ -149,7 +147,7 @@ def build_feature_report(m: AffineGaussianMap, start: GaussianState,
     if not quantum.converged:
         raise NotConvergedError("quantum iteration did not converge", report=quantum)
 
-    (mu1, sg1, mu2, sg2), d, d_f, k_raw = _estimator_sample(m, region, condition_samples, rng_seed)
+    (mu1, sg1, mu2, sg2), d, d_f, k_raw = _estimator_sample(m, DEFAULT_REGION, 2000, rng_seed)
     # the condition requires k strictly inside (0, 1); the constant map
     # estimates k = 0, any positive factor below 1 certifies it
     k = min(max(k_raw, 1e-6), 1.0 - 1e-12)

@@ -13,17 +13,15 @@ from enum import Enum
 from typing import Any, Callable
 
 from .reports import AuditCheck, AxiomAuditReport, _first, check
-from .solver import _iterate
+from .solver import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, _iterate
 
 __all__ = [
     "TNormKind",
     "FuzzyMetric",
     "GSConditionAudit",
     "FuzzyFixedPointReport",
-    "tnorm_eval",
     "audit_tnorm_axioms",
     "audit_tnorm_ordering",
-    "fuzzy_membership",
     "audit_gv_axioms",
     "fuzzy_fixed_point",
     "absolute_difference",
@@ -57,13 +55,6 @@ def _tnorm_fn(kind: TNormKind) -> Callable:
     if kind == TNormKind.LUKASIEWICZ:
         return lambda a, b: np.maximum(0.0, a + b - 1.0)
     raise ValueError(f"unknown t-norm kind: {kind!r}")
-
-
-def tnorm_eval(tnorm: TNormKind, a: float, b: float) -> float:
-    """Evaluate a t-norm at a pair of membership grades in [0, 1]."""
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise ValueError("t-norm arguments must lie in [0, 1]")
-    return float(_tnorm_fn(TNormKind(tnorm))(a, b))
 
 
 def audit_tnorm_axioms(tnorm, grid_resolution: int = 21) -> AxiomAuditReport:
@@ -153,18 +144,6 @@ def _distances(fm: FuzzyMetric, pairs) -> "np.ndarray":
     if (d < 0.0).any():
         raise ValueError("base_distance returned a negative value")
     return d
-
-
-def fuzzy_membership(fm: FuzzyMetric, x, y, t):
-    """Membership grade M(x, y, t) = t / (t + d(x, y)), with M(., ., 0) = 0.
-
-    ``t`` may be an ndarray; d(x, y) is then computed once for all of it.
-    """
-    import numpy as np
-    if not np.all(np.greater_equal(t, 0.0)):
-        raise ValueError("t must be nonnegative")
-    m = _grade(t, _distances(fm, [(x, y)])[0])
-    return float(m) if m.ndim == 0 else m
 
 
 def audit_gv_axioms(fm: FuzzyMetric, point_sampler: Callable, point_samples: int = 64,
@@ -278,7 +257,7 @@ def _condition_audit(d, d_f, k: float, rng: "np.random.Generator", pair_at: Call
     bitwise that of one draw over all pairs.
     """
     import numpy as np
-    rows = max(1, _AUDIT_BLOCK // max(t_samples, 1))
+    rows = max(1, _AUDIT_BLOCK // t_samples)
     violations, min_margin, max_abs, witness = 0, math.inf, 0.0, None
     for lo in range(0, d.size, rows):
         ts = 10.0 ** rng.uniform(*LOG_T_RANGE, (min(rows, d.size - lo), t_samples))
@@ -298,7 +277,8 @@ def _condition_audit(d, d_f, k: float, rng: "np.random.Generator", pair_at: Call
 
 
 def fuzzy_fixed_point(fm: FuzzyMetric, f: Callable, k: float, start,
-                      tolerance: float = 1e-12, max_iterations: int = 10000, *,
+                      tolerance: float = DEFAULT_TOLERANCE,
+                      max_iterations: int = DEFAULT_MAX_ITERATIONS, *,
                       condition_pairs=None, point_sampler: Callable | None = None,
                       pair_samples: int = 200, t_samples: int = 16,
                       rng_seed: int = 0) -> FuzzyFixedPointReport:
@@ -309,7 +289,8 @@ def fuzzy_fixed_point(fm: FuzzyMetric, f: Callable, k: float, start,
     M(f(x), f(y), k*t) >= M(x, y, t) is sampled on ``condition_pairs`` (or
     on pairs drawn via ``point_sampler``) with t log-uniform over T_RANGE;
     violations are reported but do not stop the iteration, and the witness
-    is the first violation in pair-major order.
+    is the first violation in pair-major order.  Raises ValueError when there
+    is no pair or no t value, since an empty audit would hold vacuously.
 
     ``fm.base_distance`` is called once per iteration step, plus
     2 * len(pairs) times by the audit, since d(x, y) and d(f(x), f(y)) do
@@ -325,6 +306,8 @@ def fuzzy_fixed_point(fm: FuzzyMetric, f: Callable, k: float, start,
         condition_pairs = [(point_sampler(rng), point_sampler(rng))
                            for _ in range(pair_samples)]
     pairs = list(condition_pairs)
+    if not pairs or t_samples < 1:
+        raise ValueError("the condition audit needs at least one pair and one t value")
     iterates, steps, converged = _iterate(f, fm.base_distance, start, tolerance,
                                           max_iterations)
     d_f = _distances(fm, [(f(x), f(y)) for x, y in pairs])
@@ -345,8 +328,8 @@ def absolute_difference(x: float, y: float) -> float:
     return abs(x - y)
 
 
-def real_line_sampler(lo: float = -10.0, hi: float = 10.0) -> Callable:
-    """Uniform carrier-point sampler for the real line."""
+def real_line_sampler() -> Callable:
+    """Uniform carrier-point sampler for the real line, over [-10, 10]."""
     def sample(rng: "np.random.Generator") -> float:
-        return float(rng.uniform(lo, hi))
+        return float(rng.uniform(-10.0, 10.0))
     return sample

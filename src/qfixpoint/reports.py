@@ -35,12 +35,6 @@ class AxiomAuditReport:
     def __post_init__(self):
         object.__setattr__(self, "passed", all(c.passed for c in self.checks))
 
-    def first_failure(self) -> AuditCheck | None:
-        for check in self.checks:
-            if not check.passed:
-                return check
-        return None
-
     def to_dict(self) -> dict:
         return asdict(self)
 

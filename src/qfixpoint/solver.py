@@ -1,11 +1,12 @@
-"""Affine contraction maps on Gaussian states and certified fixed-point iteration.
+"""Affine contraction maps on Gaussian states and their fixed-point iteration.
 
 A map acts on state parameters as (mu, sigma) -> (mu_scale*mu + mu_shift,
 sigma_scale*sigma + sigma_shift).  With |mu_scale| < 1, 0 <= sigma_scale < 1
 and sigma_shift > 0 the map sends valid states to valid states and has the
 unique parameter fixed point (mu_shift/(1-mu_scale), sigma_shift/(1-sigma_scale)).
 The iteration records per-step state distances, an empirical contraction
-factor, and the geometric error bounds that certify convergence.
+factor and the geometric error bounds at it.  estimate_contraction_factor
+returns the largest sampled ratio: a lower bound on the region's sup ratio.
 """
 
 import functools
@@ -255,13 +256,12 @@ def iterate_to_fixed_point(m: AffineGaussianMap, start: GaussianState,
     )
 
 
-def verify_banach_bounds(report: FixedPointReport, k: float,
-                         slack: float = 1e-12) -> AxiomAuditReport:
+def verify_banach_bounds(report: FixedPointReport, k: float) -> AxiomAuditReport:
     """Check the geometric step and tail bounds of a contraction trace.
 
     With contraction factor ``k``, every step must satisfy
     step[n] <= k^n * step[0] + slack, and every iterate must lie within
-    k^n/(1-k) * step[0] + slack of the report's fixed point.
+    k^n/(1-k) * step[0] + slack of the report's fixed point, with slack 1e-12.
     """
     import numpy as np
     if not 0.0 <= k < 1.0:
@@ -273,8 +273,8 @@ def verify_banach_bounds(report: FixedPointReport, k: float,
     s0 = steps[0]
     # Python's ** per power: numpy's k ** np.arange(n) differs in the last bit for some k
     powers = np.array([k**n for n in range(len(report.iterates))])
-    step_bound = powers[:steps.size] * s0 + slack
-    tail_bound = powers * (1.0 / (1.0 - k)) * s0 + slack
+    step_bound = powers[:steps.size] * s0 + 1e-12
+    tail_bound = powers * (1.0 / (1.0 - k)) * s0 + 1e-12
     mu, sigma = np.array([(it.mu, it.sigma) for it in report.iterates]).T
     fp = report.fixed_point
     dist = distance_from_params(mu, sigma, fp.mu, fp.sigma)

@@ -80,7 +80,7 @@ def test_criterion_03_convergence_and_uniqueness(default_runs):
             assert report.converged and report.iterations_used <= 10000
             worst_fp = max(worst_fp, state_distance(report.fixed_point, target))
         audit = verify_uniqueness(m, DEFAULT_STARTS, 1e-12)  # threshold 1e-11
-        assert audit.passed, (m, audit.first_failure())
+        assert audit.passed, (m, [c for c in audit.checks if not c.passed])
     assert worst_fp <= 1e-10
     print(f"[acceptance 03] PASS - 5 maps x 3 starts converge; "
           f"max distance to analytic fixed point = {worst_fp:.3e}")
@@ -88,8 +88,8 @@ def test_criterion_03_convergence_and_uniqueness(default_runs):
 
 def test_criterion_04_banach_proof_bounds(default_runs):
     for (m, s), report in default_runs.items():
-        audit = verify_banach_bounds(report, report.k_estimate, slack=1e-12)
-        assert audit.passed, (m, s, audit.first_failure())
+        audit = verify_banach_bounds(report, report.k_estimate)  # slack 1e-12
+        assert audit.passed, (m, s, [c for c in audit.checks if not c.passed])
     print("[acceptance 04] PASS - step and tail bounds hold at every index "
           "for all 15 converged runs (k = trace estimate, slack 1e-12)")
 
@@ -107,7 +107,7 @@ def test_criterion_05_contraction_certificates():
 def test_criterion_06_tnorm_axioms_and_ordering():
     for kind in TNormKind:
         report = audit_tnorm_axioms(kind, grid_resolution=21)
-        assert report.passed, (kind, report.first_failure())
+        assert report.passed, (kind, [c for c in report.checks if not c.passed])
     ordering = audit_tnorm_ordering(21)
     assert ordering.passed
     print("[acceptance 06] PASS - minimum/product/lukasiewicz axioms exhaustive "

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from qfixpoint.compare import gaussian_parameter_metric, gaussian_state_sampler
 from qfixpoint.fuzzy import (_AUDIT_BLOCK, AUDIT_SLACK, T_RANGE, FuzzyMetric, TNormKind,
-                             _condition_audit, _tnorm_fn, absolute_difference, audit_gv_axioms,
-                             audit_tnorm_axioms, audit_tnorm_ordering,
-                             fuzzy_fixed_point, fuzzy_membership,
-                             real_line_sampler, tnorm_eval)
+                             _condition_audit, _grade, _tnorm_fn, absolute_difference,
+                             audit_gv_axioms, audit_tnorm_axioms, audit_tnorm_ordering,
+                             fuzzy_fixed_point, real_line_sampler)
 from qfixpoint.reports import AuditCheck, AxiomAuditReport
-from qfixpoint.solver import AffineGaussianMap, apply_map
+from qfixpoint.solver import DEFAULT_REGION, AffineGaussianMap, apply_map
 
 unit = st.floats(0.0, 1.0)
 
@@ -29,26 +28,29 @@ def _counting(base_distance):
     return calls, FuzzyMetric(base_distance=counted)
 
 
+def _failures(report):
+    return [c for c in report.checks if not c.passed]
+
+
 # ------------------------------------------------------------------- t-norms
 
-def test_tnorm_eval_known_values():
-    assert tnorm_eval(TNormKind.MINIMUM, 0.3, 1.0) == 0.3
-    assert tnorm_eval(TNormKind.LUKASIEWICZ, 0.5, 0.4) == 0.0
-    assert tnorm_eval(TNormKind.PRODUCT, 0.5, 0.4) == pytest.approx(0.2, abs=1e-15)
-
-
-def test_tnorm_eval_rejects_out_of_range():
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        tnorm_eval(TNormKind.PRODUCT, 1.2, 0.5)
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        tnorm_eval(TNormKind.MINIMUM, 0.5, -0.1)
+def test_tnorm_known_values():
+    # product and minimum both pass every axiom audit and the ordering check,
+    # so only their values tell them apart: 0.2 and 0.4 at (0.5, 0.4)
+    a, b = [0.3, 0.5, 0.9, 0.0, 1.0], [1.0, 0.4, 0.7, 0.6, 1.0]
+    def values(kind):
+        return _tnorm_fn(kind)(np.array(a), np.array(b)).tolist()
+    assert values(TNormKind.MINIMUM) == [0.3, 0.4, 0.7, 0.0, 1.0]
+    assert values(TNormKind.PRODUCT) == [x * y for x, y in zip(a, b)]
+    assert values(TNormKind.LUKASIEWICZ) == [max(0.0, x + y - 1.0) for x, y in zip(a, b)]
 
 
 @settings(max_examples=200)
 @given(unit, unit, st.sampled_from(list(TNormKind)))
 def test_tnorm_commutative_and_bounded(a, b, kind):
-    ab = tnorm_eval(kind, a, b)
-    assert ab == tnorm_eval(kind, b, a)
+    fn = _tnorm_fn(kind)
+    ab = float(fn(a, b))
+    assert ab == float(fn(b, a))
     assert 0.0 <= ab <= 1.0
     assert ab <= min(a, b) + 1e-15
 
@@ -56,13 +58,13 @@ def test_tnorm_commutative_and_bounded(a, b, kind):
 def test_all_builtin_tnorms_pass_axiom_audit():
     for kind in TNormKind:
         report = audit_tnorm_axioms(kind, grid_resolution=21)
-        assert report.passed, (kind, report.first_failure())
+        assert report.passed, (kind, _failures(report))
 
 
 def test_broken_operation_fails_commutativity_with_witness():
     report = audit_tnorm_axioms(lambda a, b: np.asarray(a) * np.ones_like(b), 11)
     assert not report.passed
-    failure = report.first_failure()
+    failure = _failures(report)[0]
     assert failure.name == "commutativity"
     assert failure.witness is not None and "abs_difference" in failure.witness
 
@@ -80,29 +82,19 @@ def test_audit_rejects_small_grid():
 # --------------------------------------------------------------- membership
 
 def test_membership_formula_values():
-    assert fuzzy_membership(LINE, 1.5, 1.5, 1.0) == 1.0
-    assert fuzzy_membership(LINE, 0.0, 1.0, 1.0) == 0.5
-    assert fuzzy_membership(LINE, 0.0, 7.0, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        fuzzy_membership(LINE, 0.0, 1.0, -1.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        fuzzy_membership(LINE, 0.0, 1.0, math.nan)
-
-
-def test_membership_sweeps_an_array_of_t_with_one_distance_call():
-    calls, fm = _counting(absolute_difference)
-    ts = np.array([0.0, 1e-3, 0.5, 1.0, 7.0, 1e3])
-    grades = fuzzy_membership(fm, 0.0, 1.0, ts)
-    assert len(calls) == 1
-    assert grades.tolist() == [fuzzy_membership(LINE, 0.0, 1.0, float(t)) for t in ts]
-    with pytest.raises(ValueError, match="nonnegative"):
-        fuzzy_membership(LINE, 0.0, 1.0, np.array([1.0, -1.0]))
+    # M = 1 at d = 0, M = 1/2 at t = d, and M = 0 at t = 0 whatever d is
+    t = [1.0, 1e3, 1.0, 3.7, 1e-3, 0.0, 0.0]
+    d = [0.0, 0.0, 1.0, 3.7, 1e-3, 7.0, 0.0]
+    assert _grade(t, d).tolist() == [1.0, 1.0, 0.5, 0.5, 0.5, 0.0, 0.0]
+    # one distance grades a whole sweep of t values
+    assert _grade(np.array(t)[:, None], 2.0).ravel().tolist() == [
+        float(_grade(x, 2.0)) for x in t]
 
 
 @settings(max_examples=200)
 @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(1e-3, 1e3))
 def test_membership_in_unit_interval(x, y, t):
-    m = fuzzy_membership(LINE, x, y, t)
+    m = float(_grade(t, abs(x - y)))
     assert 0.0 <= m <= 1.0
     if x == y:
         assert m == 1.0
@@ -117,14 +109,14 @@ def test_gv_axioms_line_carrier_all_tnorms():
     for kind in TNormKind:
         fm = FuzzyMetric(base_distance=absolute_difference, tnorm=kind)
         report = audit_gv_axioms(fm, real_line_sampler(), 32, 8, rng_seed=5)
-        assert report.passed, (kind, report.first_failure())
+        assert report.passed, (kind, _failures(report))
 
 
 def test_gv_axioms_detect_degenerate_distance():
     fm = FuzzyMetric(base_distance=lambda x, y: 0.0)
     report = audit_gv_axioms(fm, real_line_sampler(), 16, 8, rng_seed=0)
     assert not report.passed
-    assert report.first_failure().name == "identity"
+    assert _failures(report)[0].name == "identity"
 
 
 def test_gv_axioms_detect_nonmetric_triangle_violation():
@@ -184,6 +176,27 @@ def test_fuzzy_fixed_point_validates_k():
 def test_fuzzy_fixed_point_needs_pairs_or_sampler():
     with pytest.raises(ValueError, match="condition_pairs or a point_sampler"):
         fuzzy_fixed_point(LINE, lambda x: x / 2, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("inputs", [
+    {"condition_pairs": []},
+    {"point_sampler": real_line_sampler(), "pair_samples": 0},
+    {"condition_pairs": [(0.0, 1.0)], "t_samples": 0},
+], ids=["no-condition-pairs", "no-pair-samples", "no-t-samples"])
+def test_fuzzy_fixed_point_rejects_an_empty_condition_audit(inputs):
+    # an audit of no sample would report holds=True with min_margin=inf
+    with pytest.raises(ValueError, match="at least one pair and one t value"):
+        fuzzy_fixed_point(LINE, lambda x: x / 2, 0.5, 1.0, **inputs)
+
+
+def test_samplers_draw_from_their_fixed_ranges():
+    rng = np.random.default_rng(4)
+    xs = [real_line_sampler()(rng) for _ in range(500)]
+    assert -10.0 <= min(xs) < -9.5 and 9.5 < max(xs) <= 10.0
+    states = [gaussian_state_sampler()(rng) for _ in range(500)]
+    box = DEFAULT_REGION
+    assert all(box.mu_lo <= s.mu <= box.mu_hi and box.sigma_lo <= s.sigma <= box.sigma_hi
+               for s in states)
 
 
 def test_fuzzy_fixed_point_budget_exhaustion():

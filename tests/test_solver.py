@@ -209,8 +209,8 @@ def test_banach_bounds_detect_undersized_k():
     report = iterate_to_fixed_point(MAP_HALVING, GaussianState(4, 3))
     audit = verify_banach_bounds(report, report.k_estimate / 2)
     assert not audit.passed
-    failure = audit.first_failure()
-    assert failure is not None and failure.witness is not None
+    failure = next(c for c in audit.checks if not c.passed)
+    assert failure.witness is not None
     assert failure.witness["n"] >= 1
 
 
