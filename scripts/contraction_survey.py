@@ -3,10 +3,12 @@
 
 For each map: analytic fixed point, empirical contraction factor on two
 sampling boxes, iteration lengths from the default starts, and whether the
-geometric bounds verify with the trace estimate.
+geometric bounds verify with the trace estimate.  Exits 1 when any map's
+bounds fail.
 """
 
 import argparse
+import sys
 
 from qfixpoint.solver import (DEFAULT_MAPS, DEFAULT_REGION, DEFAULT_STARTS,
                               ParameterBox, analytic_fixed_point,
@@ -28,6 +30,7 @@ def main():
               f"{'k trace':>8} {'bounds':>7}")
     print(header)
     print("-" * len(header))
+    all_ok = True
     for m in DEFAULT_MAPS:
         fp = analytic_fixed_point(m)
         k_tight = estimate_contraction_factor(m, TIGHT_BOX, args.samples, args.seed)
@@ -46,7 +49,9 @@ def main():
         print(f"{coeffs:>28} {fp_txt:>18} "
               f"{k_tight:12.6f} {k_wide:14.10f} {max(iters):6d} "
               f"{k_trace:8.4f} {'PASS' if bounds_ok else 'FAIL':>7}")
+        all_ok &= bounds_ok
+    return 0 if all_ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -243,11 +243,16 @@ def _cmd_compare(args) -> int:
                  "holds": c.holds}
     if c.witness is not None:
         condition["witness"] = c.witness
+    traces = {"quantum": report.quantum_report, "fuzzy": report.fuzzy_report.trace}
     result = {
         "interference_excess_quantum": report.interference_excess_quantum,
         "interference_excess_fuzzy": report.interference_excess_fuzzy,
-        "contraction_framework_results": {"quantum": report.quantum,
-                                          "fuzzy": report.fuzzy},
+        "contraction_framework_results": {
+            name: {"framework": name, "fixed_point": trace.fixed_point,
+                   "iterations_used": trace.iterations_used,
+                   "final_step_distance": trace.step_distances[-1],
+                   "converged": trace.converged}
+            for name, trace in traces.items()},
         "agreement_distance": report.agreement_distance,
         "fuzzy_condition": condition,
         "notes": report.notes,
@@ -256,7 +261,7 @@ def _cmd_compare(args) -> int:
               "tolerance": args.tol, "max_iterations": args.max_iter,
               "rng_seed": args.seed}
 
-    q, f = report.quantum.fixed_point, report.fuzzy.fixed_point
+    q, f = (trace.fixed_point for trace in traces.values())
     excess = [("interference_excess_quantum", report.interference_excess_quantum),
               ("interference_excess_fuzzy", report.interference_excess_fuzzy)]
     agreement = ("agreement_distance", report.agreement_distance)

@@ -12,7 +12,7 @@ the contraction condition.
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 # evaluate, estimate_contraction_factor, fuzzy_fixed_point and sample_state_pairs
@@ -26,7 +26,6 @@ from .solver import (DEFAULT_MAX_ITERATIONS, DEFAULT_REGION, DEFAULT_TOLERANCE,
                      iterate_to_fixed_point, sample_state_pairs)
 
 __all__ = [
-    "ContractionOutcome",
     "FeatureReport",
     "OUT_OF_SCOPE_NOTES",
     "interference_excess",
@@ -101,24 +100,11 @@ def gaussian_state_sampler() -> Callable:
 
 
 @dataclass(frozen=True)
-class ContractionOutcome:
-    """Fixed-point summary of one framework's run."""
-
-    framework: str
-    fixed_point: GaussianState
-    iterations_used: int
-    final_step_distance: float
-    converged: bool
-
-
-@dataclass(frozen=True)
 class FeatureReport:
     """Machine-readable feature comparison of the two frameworks."""
 
     interference_excess_quantum: float
     interference_excess_fuzzy: float  # structurally zero: no superposition exists
-    quantum: ContractionOutcome
-    fuzzy: ContractionOutcome
     agreement_distance: float
     k_estimate: float  # estimated on the region, unclamped; fuzzy_report.k is the k audited
     notes: dict[str, str]
@@ -134,13 +120,14 @@ def build_feature_report(m: AffineGaussianMap, start: GaussianState,
     """Run the iteration once and assemble both frameworks' view of it.
 
     The fuzzy contraction in the state distance is the same Picard iteration
-    as the quantum one, so the fuzzy report and outcome are built from the
-    quantum trace and ``agreement_distance`` is 0 by construction.  What the
-    fuzzy side adds is its condition audit, on the 2000 pairs that
-    estimate_contraction_factor draws from DEFAULT_REGION with this seed:
-    they are measured once, for ``k_estimate`` and for the audit's 16 t values
-    per pair; states are built only for a witness, and no base distance is
-    called.  Raises NotConvergedError if the iteration exhausts its budget.
+    as the quantum one, so the fuzzy report holds the quantum trace itself
+    (``fuzzy_report.trace is quantum_report``) and ``agreement_distance`` is
+    0 by identity.  What the fuzzy side adds is its condition audit, on the
+    2000 pairs that estimate_contraction_factor draws from DEFAULT_REGION
+    with this seed: they are measured once, for ``k_estimate`` and for the
+    audit's 16 t values per pair; states are built only for a witness, and
+    no base distance is called.  Raises NotConvergedError if the iteration
+    exhausts its budget.
     """
     import numpy as np
     quantum = iterate_to_fixed_point(m, start, tolerance, max_iterations)
@@ -154,19 +141,13 @@ def build_feature_report(m: AffineGaussianMap, start: GaussianState,
     condition = _condition_audit(
         d, d_f, k, np.random.default_rng(rng_seed),
         lambda i: (GaussianState(mu1[i], sg1[i]), GaussianState(mu2[i], sg2[i])))
-    outcome = ContractionOutcome("quantum", quantum.fixed_point, quantum.iterations_used,
-                                 quantum.step_distances[-1], quantum.converged)
 
     return FeatureReport(
         interference_excess_quantum=interference_excess(*probe_pair),
         interference_excess_fuzzy=0.0,
-        quantum=outcome,
-        fuzzy=replace(outcome, framework="fuzzy"),
         agreement_distance=0.0,
         k_estimate=k_raw,
         notes=dict(OUT_OF_SCOPE_NOTES),
         quantum_report=quantum,
-        fuzzy_report=FuzzyFixedPointReport(
-            quantum.iterates, quantum.step_distances, quantum.fixed_point,
-            quantum.converged, quantum.iterations_used, k, condition),
+        fuzzy_report=FuzzyFixedPointReport(trace=quantum, k=k, condition=condition),
     )

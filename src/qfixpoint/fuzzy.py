@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Any, Callable
 
 from .reports import AuditCheck, AxiomAuditReport, _first, check
-from .solver import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, _iterate
+from .solver import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, FixedPointReport, _iterate
 
 __all__ = [
     "TNormKind",
@@ -235,11 +235,7 @@ class GSConditionAudit:
 class FuzzyFixedPointReport:
     """Trace of the fuzzy contraction iteration plus its condition audit."""
 
-    iterates: tuple
-    step_distances: tuple[float, ...]
-    fixed_point: Any
-    converged: bool
-    iterations_used: int
+    trace: FixedPointReport
     k: float
     condition: GSConditionAudit
 
@@ -285,7 +281,8 @@ def fuzzy_fixed_point(fm: FuzzyMetric, f: Callable, k: float, start,
     """Iterate f to a fixed point, and audit the fuzzy contraction condition.
 
     The iteration is the solver's Picard loop in the base distance, run
-    until consecutive iterates are within ``tolerance``.  The condition
+    until consecutive iterates are within ``tolerance``; its trace is the
+    solver's FixedPointReport, Banach quantities included.  The condition
     M(f(x), f(y), k*t) >= M(x, y, t) is sampled on ``condition_pairs`` (or
     on pairs drawn via ``point_sampler``) with t log-uniform over T_RANGE;
     violations are reported but do not stop the iteration, and the witness
@@ -308,15 +305,10 @@ def fuzzy_fixed_point(fm: FuzzyMetric, f: Callable, k: float, start,
     pairs = list(condition_pairs)
     if not pairs or t_samples < 1:
         raise ValueError("the condition audit needs at least one pair and one t value")
-    iterates, steps, converged = _iterate(f, fm.base_distance, start, tolerance,
-                                          max_iterations)
+    trace = _iterate(f, fm.base_distance, start, tolerance, max_iterations)
     d_f = _distances(fm, [(f(x), f(y)) for x, y in pairs])
     return FuzzyFixedPointReport(
-        iterates=tuple(iterates),
-        step_distances=tuple(steps),
-        fixed_point=iterates[-1],
-        converged=converged,
-        iterations_used=len(steps),
+        trace=trace,
         k=k,
         condition=_condition_audit(_distances(fm, pairs), d_f, k, rng, pairs.__getitem__,
                                    t_samples),

@@ -12,7 +12,7 @@ returns the largest sampled ratio: a lower bound on the region's sup ratio.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from .gaussian import SQRT2, GaussianState, distance_from_params, state_distance
 from .reports import AxiomAuditReport, check
@@ -102,18 +102,18 @@ class ParameterBox:
 class FixedPointReport:
     """Full trace of one fixed-point iteration.
 
-    ``step_distances[n]`` is the state distance between iterates n+1 and n;
-    ``k_estimate`` is the largest ratio of consecutive step distances (steps
+    ``step_distances[n]`` is the iteration's metric between iterates n+1 and
+    n; ``k_estimate`` is the largest ratio of consecutive step distances (steps
     below RATIO_FLOOR skipped); ``a_priori_bounds[n]`` is the geometric tail
     bound k^n/(1-k) * step_distances[0] on the distance from iterate n to the
     limit, empty when no contraction factor below 1 was observed.
     """
 
-    iterates: tuple[GaussianState, ...]
+    iterates: tuple
     step_distances: tuple[float, ...]
     k_estimate: float
     a_priori_bounds: tuple[float, ...]
-    fixed_point: GaussianState
+    fixed_point: Any
     converged: bool
     iterations_used: int
 
@@ -197,10 +197,10 @@ def estimate_contraction_factor(m: AffineGaussianMap, region: ParameterBox,
 
 
 def _iterate(step: Callable, distance: Callable, start, tolerance: float,
-             max_iterations: int) -> tuple[list, list[float], bool]:
+             max_iterations: int) -> FixedPointReport:
     """Picard iteration x_{n+1} = step(x_n) until distance(x_{n+1}, x_n) <= tolerance.
 
-    Returns the iterates (start first), the step distances and whether the
+    Returns the full trace, start first; ``converged`` records whether the
     tolerance was met within ``max_iterations`` steps.
     """
     if not (tolerance > 0.0):
@@ -216,8 +216,24 @@ def _iterate(step: Callable, distance: Callable, start, tolerance: float,
         iterates.append(nxt)
         current = nxt
         if steps[-1] <= tolerance:
-            return iterates, steps, True
-    return iterates, steps, False
+            break
+
+    ratios = [steps[n] / steps[n - 1] for n in range(1, len(steps))
+              if steps[n - 1] > RATIO_FLOOR]
+    k = max(ratios) if ratios else 0.0
+    s0 = steps[0]
+    bounds = tuple(k**n / (1.0 - k) * s0 for n in range(len(iterates))) if k < 1.0 else ()
+
+    return FixedPointReport(
+        iterates=tuple(iterates),
+        step_distances=tuple(steps),
+        k_estimate=k,
+        a_priori_bounds=bounds,
+        fixed_point=current,
+        # the loop breaks exactly when a step meets the tolerance
+        converged=steps[-1] <= tolerance,
+        iterations_used=len(steps),
+    )
 
 
 def iterate_to_fixed_point(m: AffineGaussianMap, start: GaussianState,
@@ -233,27 +249,8 @@ def iterate_to_fixed_point(m: AffineGaussianMap, start: GaussianState,
     """
     if tolerance >= SQRT2:
         raise ValueError("tolerance must be below sqrt(2), the largest state distance")
-    iterates, steps, converged = _iterate(functools.partial(apply_map, m), state_distance,
-                                          start, tolerance, max_iterations)
-
-    ratios = [steps[n] / steps[n - 1] for n in range(1, len(steps))
-              if steps[n - 1] > RATIO_FLOOR]
-    k = max(ratios) if ratios else 0.0
-
-    bounds: tuple[float, ...] = ()
-    if k < 1.0 and steps:
-        s0 = steps[0]
-        bounds = tuple(k**n / (1.0 - k) * s0 for n in range(len(iterates)))
-
-    return FixedPointReport(
-        iterates=tuple(iterates),
-        step_distances=tuple(steps),
-        k_estimate=k,
-        a_priori_bounds=bounds,
-        fixed_point=iterates[-1],
-        converged=converged,
-        iterations_used=len(steps),
-    )
+    return _iterate(functools.partial(apply_map, m), state_distance, start, tolerance,
+                    max_iterations)
 
 
 def verify_banach_bounds(report: FixedPointReport, k: float) -> AxiomAuditReport:

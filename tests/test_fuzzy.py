@@ -148,19 +148,31 @@ def test_gv_axioms_deterministic_per_seed():
 def test_halving_map_condition_holds_with_equality():
     report = fuzzy_fixed_point(LINE, lambda x: x / 2, 0.5, 8.0, 1e-12, 10000,
                                point_sampler=real_line_sampler())
-    assert report.converged
-    assert abs(report.fixed_point) <= 1e-12
+    assert report.trace.converged
+    assert abs(report.trace.fixed_point) <= 1e-12
     assert report.condition.holds
     # scaling both distance and t by the same factor leaves t/(t+d) unchanged
     assert report.condition.max_abs_margin <= 1e-14
 
 
+def test_halving_map_trace_carries_the_banach_quantities():
+    # every iterate and step is a power of two, so each step ratio is exactly
+    # 1/2 and the a-priori bound k^n/(1-k) * step[0] = 8 * 2^-n is |x_n - 0|
+    trace = fuzzy_fixed_point(LINE, lambda x: x / 2, 0.5, 8.0, 1e-12, 10000,
+                              condition_pairs=[(0.0, 1.0)]).trace
+    assert trace.converged
+    assert trace.k_estimate == 0.5
+    assert len(trace.a_priori_bounds) == len(trace.iterates)
+    for x, bound in zip(trace.iterates, trace.a_priori_bounds):
+        assert abs(x - 0.0) <= bound
+
+
 def test_identity_map_violates_condition_but_iterates():
     report = fuzzy_fixed_point(LINE, lambda x: x, 0.5, 3.0, 1e-12, 10,
                                point_sampler=real_line_sampler())
-    assert report.converged
-    assert report.iterations_used == 1
-    assert report.fixed_point == 3.0
+    assert report.trace.converged
+    assert report.trace.iterations_used == 1
+    assert report.trace.fixed_point == 3.0
     assert not report.condition.holds
     assert report.condition.violations > 0
     assert report.condition.witness is not None
@@ -202,8 +214,8 @@ def test_samplers_draw_from_their_fixed_ranges():
 def test_fuzzy_fixed_point_budget_exhaustion():
     report = fuzzy_fixed_point(LINE, lambda x: 0.99999 * x, 0.99999, 100.0,
                                1e-12, 10, point_sampler=real_line_sampler())
-    assert not report.converged
-    assert report.iterations_used == 10
+    assert not report.trace.converged
+    assert report.trace.iterations_used == 10
 
 
 def test_fuzzy_fixed_point_accepts_explicit_pairs():
@@ -471,8 +483,8 @@ def test_condition_audit_calls_base_distance_once_per_pair():
     pairs = [(float(a), float(a) + 3.0) for a in range(40)]
     report = fuzzy_fixed_point(fm, lambda x: x / 2, 0.5, 8.0, 1e-12, 10000,
                                condition_pairs=pairs, t_samples=16)
-    assert report.converged
-    assert len(calls) == 2 * len(pairs) + report.iterations_used
+    assert report.trace.converged
+    assert len(calls) == 2 * len(pairs) + report.trace.iterations_used
 
 
 def test_gv_audit_call_count_does_not_depend_on_t_samples():

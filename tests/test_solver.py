@@ -1,9 +1,13 @@
 import math
+import pathlib
+import runpy
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfixpoint import solver
 from qfixpoint.gaussian import GaussianState, state_distance
 from qfixpoint.solver import (DEFAULT_MAPS, DEFAULT_REGION, DEFAULT_STARTS,
                               AffineGaussianMap, DegenerateRegionError,
@@ -218,6 +222,23 @@ def test_banach_bounds_reject_bad_k():
     report = iterate_to_fixed_point(MAP_HALVING, GaussianState(4, 3))
     with pytest.raises(ValueError, match="k must satisfy"):
         verify_banach_bounds(report, 1.0)
+
+
+SURVEY = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "contraction_survey.py"
+
+
+@pytest.mark.parametrize("k_factor, code", [(1.0, 0), (0.5, 1)])
+def test_contraction_survey_exit_code_follows_the_bounds(monkeypatch, capsys, k_factor, code):
+    # the survey checks each trace against its own k_estimate; half of it is
+    # too small for the halving map (test_banach_bounds_detect_undersized_k)
+    def scaled(report, k):
+        return verify_banach_bounds(report, k * k_factor)
+    monkeypatch.setattr(solver, "verify_banach_bounds", scaled)
+    monkeypatch.setattr(sys, "argv", [str(SURVEY), "--samples", "100"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SURVEY), run_name="__main__")
+    assert exit_info.value.code == code
+    assert ("FAIL" in capsys.readouterr().out) == bool(code)
 
 
 # --------------------------------------------------------------- uniqueness
