@@ -12,7 +12,8 @@ import functools
 import json
 import math
 import sys
-from itertools import zip_longest
+from itertools import chain, zip_longest
+from operator import attrgetter
 
 from .compare import build_feature_report, gaussian_parameter_metric, gaussian_state_sampler
 from .fuzzy import (TNormKind, absolute_difference, audit_gv_axioms,
@@ -49,6 +50,33 @@ class CliError(Exception):
 _scalar = functools.lru_cache(maxsize=1024, typed=True)(json.dumps)
 
 
+@functools.lru_cache(maxsize=64)
+def _item_format(kind):
+    """Template and field getter for one item of a run of ``kind``; no template if none."""
+    if kind is float:
+        return "%.17g", None
+    names = [f.name for f in dataclasses.fields(kind)] if dataclasses.is_dataclass(kind) else ()
+    if len(names) < 2:  # attrgetter of one name returns the value, not a tuple
+        return None, None
+    return "{" + ", ".join(f"{_scalar(n)}: %.17g" for n in names) + "}", attrgetter(*names)
+
+
+def _run(values):
+    """``values`` as json items in one ``%`` call, or None to go value by value.
+
+    Covers finite floats and one dataclass type of finite floats (iterates).
+    """
+    kinds = set(map(type, values))
+    template, getter = _item_format(kinds.pop()) if len(kinds) == 1 else (None, None)
+    if template is None:
+        return None
+    flat = tuple(values if getter is None else chain.from_iterable(map(getter, values)))
+    # NaN and inf make the sum non-finite; an overflowing sum only costs speed
+    if set(map(type, flat)) != {float} or not math.isfinite(sum(flat)):
+        return None
+    return ", ".join([template] * len(values)) % flat
+
+
 def _json(value) -> str:
     """JSON text of ``value``; floats carry 17 significant digits."""
     if isinstance(value, float):
@@ -56,7 +84,7 @@ def _json(value) -> str:
             raise ValueError("non-finite float in report")
         return format(value, ".17g")
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(map(_json, value)) + "]"
+        return "[" + (_run(value) or ", ".join(map(_json, value))) + "]"
     if isinstance(value, dict):
         return "{" + ", ".join(f"{_scalar(k)}: {_json(v)}" for k, v in value.items()) + "}"
     if dataclasses.is_dataclass(value):
@@ -64,13 +92,16 @@ def _json(value) -> str:
     return _scalar(value)
 
 
-def _g17(x) -> str:
-    return format(x, ".17g") if isinstance(x, float) else str(x)
+@functools.lru_cache(maxsize=64)
+def _csv_template(kinds) -> str:
+    """One csv line for a row of these column types: floats at 17 digits, the rest by str."""
+    return ",".join("%.17g" if issubclass(k, float) else "%s" for k in kinds) + "\n"
 
 
 def _kv_table(pairs) -> str:
     width = max(len(k) for k, _ in pairs)
-    return "".join(f"{k:<{width}}  {_g17(v)}\n" for k, v in pairs)
+    return "".join(f"{k:<{width}}  {format(v, '.17g') if isinstance(v, float) else v}\n"
+                   for k, v in pairs)
 
 
 def _render(args, command: str, inputs: dict, result: dict, rows, table: str) -> None:
@@ -79,7 +110,7 @@ def _render(args, command: str, inputs: dict, result: dict, rows, table: str) ->
         text = _json({"command": command, "inputs": inputs, "result": result,
                       "version": SCHEMA_VERSION}) + "\n"
     elif args.format == "csv":
-        text = "".join(",".join(map(_g17, row)) + "\n" for row in rows)
+        text = "".join(_csv_template(tuple(map(type, row))) % tuple(row) for row in rows)
     else:
         text = table
     if args.out:

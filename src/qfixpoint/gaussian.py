@@ -37,20 +37,22 @@ __all__ = [
 SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GaussianState:
     """A normalized real Gaussian wavefunction, stored by center and width."""
 
     mu: float
     sigma: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "sigma", float(self.sigma))
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+    # hand-written so that each field is converted and set once
+    def __init__(self, mu, sigma):
+        mu, sigma = float(mu), float(sigma)
+        if not (math.isfinite(mu) and math.isfinite(sigma)):
             raise ValueError("state parameters must be finite")
-        if self.sigma <= 0.0:
+        if sigma <= 0.0:
             raise ValueError("sigma must be positive")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "sigma", sigma)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -26,6 +28,36 @@ def test_state_requires_positive_sigma():
         GaussianState(0.0, -1.0)
     with pytest.raises(ValueError, match="finite"):
         GaussianState(math.inf, 1.0)
+
+
+def test_state_constructor_contract():
+    s = GaussianState(1, np.float64(2.5))
+    assert type(s.mu) is float and type(s.sigma) is float
+    assert s == GaussianState(mu=1.0, sigma=2.5) and s != GaussianState(1.0, 2.0)
+    assert hash(s) == hash(GaussianState(1.0, 2.5)) == hash((1.0, 2.5))
+    assert repr(s) == "GaussianState(mu=1.0, sigma=2.5)"
+    assert [f.name for f in dataclasses.fields(s)] == ["mu", "sigma"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.mu = 0.0
+    moved = dataclasses.replace(s, mu=np.int64(-3))
+    assert moved == GaussianState(-3.0, 2.5) and type(moved.mu) is float
+    assert pickle.loads(pickle.dumps(s)) == s
+    for mu, sigma, message in [(math.nan, 1.0, "state parameters must be finite"),
+                               (0.0, math.nan, "state parameters must be finite"),
+                               (-math.inf, 1.0, "state parameters must be finite"),
+                               (0.0, math.inf, "state parameters must be finite"),
+                               (0.0, 0.0, "sigma must be positive"),
+                               (0.0, -0.0, "sigma must be positive"),
+                               (0.0, -2.0, "sigma must be positive")]:
+        with pytest.raises(ValueError) as info:
+            GaussianState(mu, sigma)
+        assert str(info.value) == message
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        dataclasses.replace(s, sigma=0)
+    with pytest.raises(ValueError, match="could not convert"):
+        GaussianState("x", 1.0)
+    with pytest.raises(TypeError):
+        GaussianState(0.0)
 
 
 def test_quadrature_config_invariants():
