@@ -237,30 +237,31 @@ def _sigma_sq_sum(a: GaussianState, b: GaussianState) -> float:
     return ss
 
 
-def _distance(xp, dmu2, dsigma, ss):
-    """sqrt(2 - 2*<a|b>) from (mu_a - mu_b)**2, sigma_a - sigma_b and sigma_a**2 + sigma_b**2.
+def _distance(xp, dmu2, dsigma, sab, ss):
+    """sqrt(2 - 2*<a|b>) from (mu_a - mu_b)**2, sigma_a - sigma_b, sigma_a*sigma_b, ss.
 
-    ``xp`` is ``math`` for floats and ``numpy`` for arrays.  Both terms of
-    1 - <a|b> = (1 - pref) + pref*(1 - exp(-u)) are nonnegative (v <= 1 in
-    floating point), so no cancellation and no clamp are needed.
+    ``ss`` is sigma_a**2 + sigma_b**2 and ``xp`` is ``math`` or ``numpy``.  Both
+    terms of 1 - <a|b> = v/(1 + p) + p*(1 - exp(-u)) are nonnegative, and taking
+    p = sqrt(2*sab/ss) avoids the equal sqrt(1 - v), which cancels at wide width ratios.
     """
     u = dmu2 / (2.0 * ss)
     v = dsigma**2 / ss
-    p = xp.sqrt(1.0 - v)
+    p = xp.sqrt(2.0 * sab / ss)
     return xp.sqrt(2.0 * (v / (1.0 + p) - p * xp.expm1(-u)))
 
 
 def state_distance(a: GaussianState, b: GaussianState) -> float:
     """L2 distance between two states, d = sqrt(2 - 2*<a|b>).
 
-    Evaluated through an algebraically equivalent cancellation-free form so
-    that distances far below sqrt(machine epsilon) are still exact to a few
-    ulps; the naive 2 - 2*overlap subtraction cannot resolve below ~1e-8.
+    Evaluated through an algebraically equivalent cancellation-free form, exact
+    to a few ulps down to distances far below sqrt(machine epsilon) and at width
+    ratios up to 1e8; the naive 2 - 2*overlap cannot resolve below ~1e-8.
     Zero exactly iff the parameter pairs are identical.  Raises
     OverflowError where (mu_a - mu_b)**2 or 2*(sigma_a**2 + sigma_b**2)
     leaves the double range.
     """
-    return _distance(math, (a.mu - b.mu) ** 2, a.sigma - b.sigma, _sigma_sq_sum(a, b))
+    return _distance(math, (a.mu - b.mu) ** 2, a.sigma - b.sigma, a.sigma * b.sigma,
+                     _sigma_sq_sum(a, b))
 
 
 def distance_from_params(mu1, sigma1, mu2, sigma2):
@@ -275,7 +276,7 @@ def distance_from_params(mu1, sigma1, mu2, sigma2):
         ss = sigma1 * sigma1 + sigma2 * sigma2
         if dmu2.max() == math.inf or 2.0 * ss.max() == math.inf:
             raise OverflowError("(mu1 - mu2)**2 or 2*(sigma1**2 + sigma2**2) overflows")
-    return _distance(np, dmu2, sigma1 - sigma2, ss)
+    return _distance(np, dmu2, sigma1 - sigma2, sigma1 * sigma2, ss)
 
 
 def audit_metric_axioms(samples: int = 10000, rng_seed: int = 0,

@@ -540,7 +540,9 @@ def test_exit_codes_end_to_end():
 # estimated and the audited contraction factor, the three distance-quadrature
 # digests when the oracle moved to the states' shared window at 128 panels
 # (the overlap's last digit), and distance-json with them, because its inputs
-# echo the default panel count.
+# echo the default panel count.  compare-json was re-taken again when the
+# distance took its prefactor from the width product (the last two digits of
+# k_estimate and k, and the condition audit's margins).
 GOLDEN_ARGVS = {
     "distance": ["distance", "--a", "0,1", "--b", "2,1"],
     "distance-quadrature": ["distance", "--a", "0,1", "--b", "0.5,2", "--quadrature"],
@@ -599,7 +601,7 @@ GOLDEN_DIGESTS = {
     "audit-banach-k1.5-json": "1c068c04551ecd439386df6a756b4f61289cf5a44a55211a058ce0f5630d520c",
     "audit-banach-k1.5-csv": "1c068c04551ecd439386df6a756b4f61289cf5a44a55211a058ce0f5630d520c",
     "audit-banach-k1.5-table": "1c068c04551ecd439386df6a756b4f61289cf5a44a55211a058ce0f5630d520c",
-    "compare-json": "cb4204a3b804b78ae286297e6752cf26cf5e575f792a485ea9ac35a98ba08785",
+    "compare-json": "e8a02fb39dc7633e1ae97f8c5e89bc64ce59a7cb318c5f2b378abf1247837a8e",
     "compare-csv": "ab89259e72519416a996df5a9e36882fc3a15ed918d415cce3c21d36a2570b4d",
     "compare-table": "e135cb431375db6ccd32977ecbc7ffc6b9c7c9611cdce431602ab1adfc45300f",
     "compare-seed3-json": "f445dcccd77c533460dccf732f3c3f81123375698378f52be328e12d35f4df8e",

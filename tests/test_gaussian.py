@@ -277,9 +277,8 @@ def test_distance_resolves_tiny_separations():
 DISTANCE_ULPS = 4.0
 
 
-def test_distance_is_accurate_to_a_few_ulps_down_to_separations_of_1e_30():
-    mpmath = pytest.importorskip("mpmath")
-
+def worst_distance_ulps(mpmath, ma, sa, mb, sb):
+    """Largest error of the scalar and the vectorized distance, in ulps of a 130-digit reference."""
     def reference(ma, sa, mb, sb):
         # the naive closed form at 130 digits keeps 50+ digits after the
         # cancellation in 2 - 2<a|b>, even where d is ~1e-31
@@ -289,6 +288,18 @@ def test_distance_is_accurate_to_a_few_ulps_down_to_separations_of_1e_30():
             overlap = mpmath.sqrt(2 * sa * sb / ss) * mpmath.exp(-(ma - mb) ** 2 / (2 * ss))
             return mpmath.sqrt(2 - 2 * overlap)
 
+    vectorized = distance_from_params(ma, sa, mb, sb)
+    worst = 0.0
+    for i in range(ma.size):
+        ref = reference(ma[i], sa[i], mb[i], sb[i])
+        scalar = state_distance(GaussianState(ma[i], sa[i]), GaussianState(mb[i], sb[i]))
+        for got in (scalar, float(vectorized[i])):
+            worst = max(worst, float(abs(mpmath.mpf(got) - ref)) / math.ulp(float(ref)))
+    return worst
+
+
+def test_distance_is_accurate_to_a_few_ulps_down_to_separations_of_1e_30():
+    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(0)
     n = 3000
     sep = 10.0 ** rng.uniform(-30.0, 0.0, n)
@@ -302,15 +313,24 @@ def test_distance_is_accurate_to_a_few_ulps_down_to_separations_of_1e_30():
     group = np.arange(n) % 3
     mb = np.where(group == 1, ma, mb)
     sb = np.where(group == 0, sa, sb)
+    assert worst_distance_ulps(mpmath, ma, sa, mb, sb) <= DISTANCE_ULPS
 
-    vectorized = distance_from_params(ma, sa, mb, sb)
-    worst = 0.0
-    for i in range(n):
-        ref = reference(ma[i], sa[i], mb[i], sb[i])
-        scalar = state_distance(GaussianState(ma[i], sa[i]), GaussianState(mb[i], sb[i]))
-        for got in (scalar, float(vectorized[i])):
-            worst = max(worst, float(abs(mpmath.mpf(got) - ref)) / math.ulp(float(ref)))
-    assert worst <= DISTANCE_ULPS
+
+@pytest.mark.parametrize("ratio", [1e2, 1e4, 1e6, 1e8])
+def test_distance_is_accurate_to_a_few_ulps_at_any_width_ratio(ratio):
+    # a prefactor taken as sqrt(1 - (sa - sb)**2/ss) cancels here: it gave
+    # 5.5, 35, 443 and 4882 ulps on these pairs, against 1.8, 1.4, 2.1 and 1.8
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(int(math.log10(ratio)))
+    n = 200
+    narrow = rng.uniform(0.1, 10.0, n)
+    wide_first = rng.random(n) < 0.5
+    sa = np.where(wide_first, narrow * ratio, narrow)
+    sb = np.where(wide_first, narrow, narrow * ratio)
+    ma = rng.uniform(-10.0, 10.0, n)
+    # centres within 3 widths, measured in a width between the narrow and the wide one
+    mb = ma + rng.uniform(-3.0, 3.0, n) * narrow * ratio ** rng.uniform(0.0, 1.0, n)
+    assert worst_distance_ulps(mpmath, ma, sa, mb, sb) <= DISTANCE_ULPS
 
 
 def test_distance_monotone_in_separation():
