@@ -94,8 +94,7 @@ def gaussian_parameter_metric() -> FuzzyMetric:
 def gaussian_state_sampler() -> Callable:
     """Uniform carrier-point sampler over DEFAULT_REGION's state parameter box."""
     def sample(rng: "np.random.Generator") -> GaussianState:
-        return GaussianState(float(rng.uniform(DEFAULT_REGION.mu_lo, DEFAULT_REGION.mu_hi)),
-                             float(rng.uniform(DEFAULT_REGION.sigma_lo, DEFAULT_REGION.sigma_hi)))
+        return GaussianState(*DEFAULT_REGION.sample(rng))
     return sample
 
 

@@ -24,6 +24,7 @@ from .reports import AxiomAuditReport, check
 
 __all__ = [
     "GaussianState",
+    "ParameterBox",
     "QuadratureConfig",
     "DEFAULT_QUADRATURE",
     "evaluate",
@@ -53,6 +54,31 @@ class GaussianState:
             raise ValueError("sigma must be positive")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
+
+
+@dataclass(frozen=True)
+class ParameterBox:
+    """Axis-aligned box in (mu, sigma) parameter space."""
+
+    mu_lo: float
+    mu_hi: float
+    sigma_lo: float
+    sigma_hi: float
+
+    def __post_init__(self):
+        # the sampler draws uniformly between the bounds, which needs a finite span
+        if not (math.isfinite(self.mu_hi - self.mu_lo)
+                and math.isfinite(self.sigma_hi - self.sigma_lo)):
+            raise ValueError("parameter box bounds and spans must be finite")
+        if not self.mu_lo <= self.mu_hi:
+            raise ValueError("mu interval is empty")
+        if not 0.0 < self.sigma_lo <= self.sigma_hi:
+            raise ValueError("sigma interval must have a positive lower bound")
+
+    def sample(self, rng: "np.random.Generator", size=None):
+        """Uniform draws (mu, sigma) of shape ``size``, mu drawn first; floats if size is None."""
+        return (rng.uniform(self.mu_lo, self.mu_hi, size),
+                rng.uniform(self.sigma_lo, self.sigma_hi, size))
 
 
 @dataclass(frozen=True)
@@ -217,11 +243,7 @@ def overlap_quadrature(a: GaussianState, b: GaussianState,
     acceptance grid and to well below 1e-10 at any width ratio at the
     default configuration.
     """
-    import numpy as np
-    out = overlap_quadrature_many(
-        np.array([a.mu]), np.array([a.sigma]), np.array([b.mu]), np.array([b.sigma]), cfg
-    )
-    return float(out[0])
+    return float(overlap_quadrature_many(a.mu, a.sigma, b.mu, b.sigma, cfg)[0])
 
 
 def _sigma_sq_sum(a: GaussianState, b: GaussianState) -> float:
@@ -280,22 +302,19 @@ def distance_from_params(mu1, sigma1, mu2, sigma2):
 
 
 def audit_metric_axioms(samples: int = 10000, rng_seed: int = 0,
-                        mu_range: tuple[float, float] = (-10.0, 10.0),
-                        sigma_range: tuple[float, float] = (0.1, 10.0),
+                        box: ParameterBox = ParameterBox(-10.0, 10.0, 0.1, 10.0),
                         triangle_slack: float = 1e-12) -> AxiomAuditReport:
     """Randomized audit of the metric axioms for the state distance.
 
-    Samples ``samples`` state triples and checks exact symmetry, the
-    identity-of-indiscernibles (zero distance exactly iff parameters agree,
-    with 1e-14 relative parameter tolerance), the triangle inequality with
-    ``triangle_slack``, and the range bound d <= sqrt(2).
+    Samples ``samples`` state triples from ``box`` and checks exact
+    symmetry, the identity-of-indiscernibles (zero distance exactly iff
+    parameters agree, with 1e-14 relative parameter tolerance), the triangle
+    inequality with ``triangle_slack``, and the range bound d <= sqrt(2).
     """
     import numpy as np
     if samples < 1:
         raise ValueError("samples must be positive")
-    rng = np.random.default_rng(rng_seed)
-    mu = rng.uniform(*mu_range, size=(3, samples))
-    sg = rng.uniform(*sigma_range, size=(3, samples))
+    mu, sg = box.sample(np.random.default_rng(rng_seed), (3, samples))
 
     d_ab = distance_from_params(mu[0], sg[0], mu[1], sg[1])
     d_ba = distance_from_params(mu[1], sg[1], mu[0], sg[0])

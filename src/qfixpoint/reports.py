@@ -39,21 +39,25 @@ class AxiomAuditReport:
         return asdict(self)
 
 
-def _first(mask: "np.ndarray"):
+def _first(mask: "list | np.ndarray"):
     """Index tuple of the first True entry of ``mask`` in row-major order, or None."""
+    if isinstance(mask, list):
+        return (mask.index(True),) if True in mask else None
     import numpy as np
     hits = np.flatnonzero(mask)
     return np.unravel_index(hits[0], mask.shape) if hits.size else None
 
 
-def check(name: str, failed: "np.ndarray", witness_at: Callable, checked: int | None = None,
-          detail: str = "") -> AuditCheck:
-    """The check that no entry of the boolean array ``failed`` is True.
+def check(name: str, failed: "list | np.ndarray", witness_at: Callable,
+          checked: int | None = None, detail: str = "") -> AuditCheck:
+    """The check that no entry of ``failed``, a list or array of bools, is True.
 
     On failure the witness is ``witness_at(*index)`` of the first True entry
-    in row-major order.  ``checked`` defaults to ``failed.size``.
+    in row-major order.  ``checked`` defaults to the entry count: ``len`` of
+    a list, ``size`` of an array.
     """
     bad = _first(failed)
-    return AuditCheck(name=name, passed=bad is None,
-                      checked=failed.size if checked is None else checked,
+    if checked is None:
+        checked = len(failed) if isinstance(failed, list) else failed.size
+    return AuditCheck(name=name, passed=bad is None, checked=checked,
                       witness=None if bad is None else witness_at(*bad), detail=detail)

@@ -10,16 +10,16 @@ returns the largest sampled ratio: a lower bound on the region's sup ratio.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .gaussian import SQRT2, GaussianState, distance_from_params, state_distance
+from .gaussian import SQRT2, GaussianState, ParameterBox, distance_from_params, state_distance
 from .reports import AxiomAuditReport, check
 
 __all__ = [
     "AffineGaussianMap",
-    "ParameterBox",
     "FixedPointReport",
     "NotConvergedError",
     "DegenerateRegionError",
@@ -79,26 +79,6 @@ class AffineGaussianMap:
 
 
 @dataclass(frozen=True)
-class ParameterBox:
-    """Axis-aligned box in (mu, sigma) parameter space."""
-
-    mu_lo: float
-    mu_hi: float
-    sigma_lo: float
-    sigma_hi: float
-
-    def __post_init__(self):
-        # the sampler draws uniformly between the bounds, which needs a finite span
-        if not (math.isfinite(self.mu_hi - self.mu_lo)
-                and math.isfinite(self.sigma_hi - self.sigma_lo)):
-            raise ValueError("parameter box bounds and spans must be finite")
-        if not self.mu_lo <= self.mu_hi:
-            raise ValueError("mu interval is empty")
-        if not 0.0 < self.sigma_lo <= self.sigma_hi:
-            raise ValueError("sigma interval must have a positive lower bound")
-
-
-@dataclass(frozen=True)
 class FixedPointReport:
     """Full trace of one fixed-point iteration.
 
@@ -151,18 +131,10 @@ def analytic_fixed_point(m: AffineGaussianMap) -> GaussianState:
                          m.sigma_shift / (1.0 - m.sigma_scale))
 
 
-def _sample_pair_params(region: ParameterBox, samples: int, rng: "np.random.Generator"):
-    mu1 = rng.uniform(region.mu_lo, region.mu_hi, samples)
-    sg1 = rng.uniform(region.sigma_lo, region.sigma_hi, samples)
-    mu2 = rng.uniform(region.mu_lo, region.mu_hi, samples)
-    sg2 = rng.uniform(region.sigma_lo, region.sigma_hi, samples)
-    return mu1, sg1, mu2, sg2
-
-
 def sample_state_pairs(region: ParameterBox, samples: int,
                        rng: "np.random.Generator") -> list[tuple[GaussianState, GaussianState]]:
     """Draw uniform state pairs from a parameter box (same stream as the estimator)."""
-    mu1, sg1, mu2, sg2 = _sample_pair_params(region, samples, rng)
+    (mu1, sg1), (mu2, sg2) = region.sample(rng, samples), region.sample(rng, samples)
     return [(GaussianState(a, b), GaussianState(c, d))
             for a, b, c, d in zip(mu1, sg1, mu2, sg2)]
 
@@ -172,16 +144,16 @@ def _estimator_sample(m: AffineGaussianMap, region: ParameterBox, samples: int, 
     import numpy as np
     if samples < 100:
         raise ValueError("samples must be at least 100")
-    params = mu1, sg1, mu2, sg2 = _sample_pair_params(region, samples,
-                                                      np.random.default_rng(rng_seed))
-    d = distance_from_params(*params)
+    rng = np.random.default_rng(rng_seed)
+    (mu1, sg1), (mu2, sg2) = region.sample(rng, samples), region.sample(rng, samples)
+    d = distance_from_params(mu1, sg1, mu2, sg2)
     # each pair mapped as apply_map does
     d_f = distance_from_params(m.mu_scale * mu1 + m.mu_shift, m.sigma_scale * sg1 + m.sigma_shift,
                                m.mu_scale * mu2 + m.mu_shift, m.sigma_scale * sg2 + m.sigma_shift)
     mask = d >= 1e-12
     if not mask.any():
         raise DegenerateRegionError("all sampled pairs are closer than 1e-12")
-    return params, d, d_f, float(np.max(d_f[mask] / d[mask]))
+    return (mu1, sg1, mu2, sg2), d, d_f, float(np.max(d_f[mask] / d[mask]))
 
 
 def estimate_contraction_factor(m: AffineGaussianMap, region: ParameterBox,
@@ -260,29 +232,24 @@ def verify_banach_bounds(report: FixedPointReport, k: float) -> AxiomAuditReport
     step[n] <= k^n * step[0] + slack, and every iterate must lie within
     k^n/(1-k) * step[0] + slack of the report's fixed point, with slack 1e-12.
     """
-    import numpy as np
     if not 0.0 <= k < 1.0:
         raise ValueError("k must satisfy 0 <= k < 1")
     if len(report.iterates) < 2:
         raise ValueError("report must contain at least 2 iterates")
 
-    steps = np.array(report.step_distances)
+    steps = report.step_distances
     s0 = steps[0]
-    # Python's ** per power: numpy's k ** np.arange(n) differs in the last bit for some k
-    powers = np.array([k**n for n in range(len(report.iterates))])
-    step_bound = powers[:steps.size] * s0 + 1e-12
-    tail_bound = powers * (1.0 / (1.0 - k)) * s0 + 1e-12
-    mu, sigma = np.array([(it.mu, it.sigma) for it in report.iterates]).T
-    fp = report.fixed_point
-    dist = distance_from_params(mu, sigma, fp.mu, fp.sigma)
+    powers = [k**n for n in range(len(report.iterates))]
+    tail = 1.0 / (1.0 - k)
+    step_bound = [p * s0 + 1e-12 for p in powers[:len(steps)]]
+    tail_bound = [p * tail * s0 + 1e-12 for p in powers]
+    dist = [state_distance(it, report.fixed_point) for it in report.iterates]
     return AxiomAuditReport(target="banach-bounds", checks=(
-        check("geometric_step_bound", steps > step_bound,
-              lambda n: {"n": int(n), "step_distance": float(steps[n]),
-                         "bound": float(step_bound[n])},
+        check("geometric_step_bound", [s > b for s, b in zip(steps, step_bound)],
+              lambda n: {"n": n, "step_distance": steps[n], "bound": step_bound[n]},
               detail="step[n] <= k^n * step[0] + slack"),
-        check("geometric_tail_bound", dist > tail_bound,
-              lambda n: {"n": int(n), "distance_to_fixed_point": float(dist[n]),
-                         "bound": float(tail_bound[n])},
+        check("geometric_tail_bound", [d > b for d, b in zip(dist, tail_bound)],
+              lambda n: {"n": n, "distance_to_fixed_point": dist[n], "bound": tail_bound[n]},
               detail="d(iterate[n], fixed_point) <= k^n/(1-k) * step[0] + slack"),
     ))
 
@@ -295,7 +262,6 @@ def verify_uniqueness(m: AffineGaussianMap, starts, tolerance: float = DEFAULT_T
     10 * tolerance of each other.  Raises NotConvergedError if any run
     exhausts its budget.
     """
-    import numpy as np
     starts = tuple(starts)
     if len(starts) < 2:
         raise ValueError("need at least 2 starts")
@@ -309,12 +275,11 @@ def verify_uniqueness(m: AffineGaussianMap, starts, tolerance: float = DEFAULT_T
                                     report=report)
         fixed_points.append(report.fixed_point)
 
-    params = np.array([(p.mu, p.sigma) for p in fixed_points])
-    i, j = np.triu_indices(len(fixed_points), 1)
-    d = distance_from_params(params[i, 0], params[i, 1], params[j, 0], params[j, 1])
+    pairs = list(itertools.combinations(range(len(fixed_points)), 2))
+    d = [state_distance(fixed_points[i], fixed_points[j]) for i, j in pairs]
     threshold = 10.0 * tolerance
     return AxiomAuditReport(target="uniqueness", checks=(check(
-        "common_fixed_point", d > threshold,
-        lambda p: {"start_i": int(i[p]), "start_j": int(j[p]), "distance": float(d[p]),
+        "common_fixed_point", [x > threshold for x in d],
+        lambda p: {"start_i": pairs[p][0], "start_j": pairs[p][1], "distance": d[p],
                    "threshold": threshold},
-        detail=f"max pairwise distance {d.max():.3e}"),))
+        detail=f"max pairwise distance {max(d):.3e}"),))

@@ -3,11 +3,13 @@ import pathlib
 import runpy
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfixpoint import solver
+from qfixpoint.compare import gaussian_state_sampler
 from qfixpoint.gaussian import GaussianState, state_distance
 from qfixpoint.solver import (DEFAULT_MAPS, DEFAULT_REGION, DEFAULT_STARTS,
                               AffineGaussianMap, DegenerateRegionError,
@@ -57,6 +59,71 @@ def test_parameter_box_validation():
 def test_parameter_box_rejects_non_finite_bounds(bounds):
     with pytest.raises(ValueError):
         ParameterBox(*bounds)
+
+
+# The draws that ParameterBox.sample replaced, kept verbatim: the estimator's
+# pairs, the compare carrier's sampler and audit_metric_axioms' triples.
+
+def _old_sample_pair_params(region, samples, rng):
+    mu1 = rng.uniform(region.mu_lo, region.mu_hi, samples)
+    sg1 = rng.uniform(region.sigma_lo, region.sigma_hi, samples)
+    mu2 = rng.uniform(region.mu_lo, region.mu_hi, samples)
+    sg2 = rng.uniform(region.sigma_lo, region.sigma_hi, samples)
+    return mu1, sg1, mu2, sg2
+
+
+def _old_gaussian_state_sampler(region=DEFAULT_REGION):
+    def sample(rng):
+        return GaussianState(float(rng.uniform(region.mu_lo, region.mu_hi)),
+                             float(rng.uniform(region.sigma_lo, region.sigma_hi)))
+    return sample
+
+
+def _old_triples(mu_range, sigma_range, samples, rng):
+    mu = rng.uniform(*mu_range, size=(3, samples))
+    sg = rng.uniform(*sigma_range, size=(3, samples))
+    return mu, sg
+
+
+def _bits(values):
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+@pytest.mark.parametrize("box", [
+    DEFAULT_REGION, ParameterBox(-10.0, 10.0, 0.1, 10.0), ParameterBox(0.0, 0.01, 1.0, 1.01),
+    ParameterBox(3.0, 3.0, 1.0, 1.0), ParameterBox(-2, 2, 0.5, 2),
+    ParameterBox(-1e300, 1e300, 1e-300, 1e300),
+])
+@pytest.mark.parametrize("seed", [0, 1, 59])
+def test_parameter_box_sample_keeps_the_old_streams(box, seed):
+    for size in (1, 7, 2000):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        pairs = (*box.sample(new, size), *box.sample(new, size))
+        assert _bits(pairs) == _bits(_old_sample_pair_params(box, size, old))
+        assert new.random() == old.random()
+
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        triples = box.sample(new, (3, size))
+        want = _old_triples((box.mu_lo, box.mu_hi), (box.sigma_lo, box.sigma_hi), size, old)
+        assert triples[0].shape == (3, size) and _bits(triples) == _bits(want)
+        assert new.random() == old.random()
+
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    old_sampler = _old_gaussian_state_sampler(box)
+    for _ in range(50):
+        mu, sigma = box.sample(new)
+        want = old_sampler(old)
+        assert type(mu) is type(sigma) is float
+        assert _bits((mu, sigma)) == _bits((want.mu, want.sigma))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 59])
+def test_gaussian_state_sampler_keeps_the_old_stream(seed):
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    sampler, old_sampler = gaussian_state_sampler(), _old_gaussian_state_sampler()
+    got = [sampler(new) for _ in range(200)]
+    want = [old_sampler(old) for _ in range(200)]
+    assert _bits([(s.mu, s.sigma) for s in got]) == _bits([(s.mu, s.sigma) for s in want])
 
 
 def test_apply_map_direct_arithmetic():
