@@ -122,10 +122,10 @@ def overlap_closed_form(a: GaussianState, b: GaussianState) -> float:
     Symmetric in its arguments, always in (0, 1], and equal to 1 exactly
     when the two parameter pairs coincide.
     """
-    ss = _sigma_sq_sum(a, b)
+    dmu2, ss = _squares(a, b)
     # grouping keeps the result bitwise symmetric under argument swap
     pref = math.sqrt(2.0 * (a.sigma * b.sigma) / ss)
-    return pref * math.exp(-((a.mu - b.mu) ** 2) / (2.0 * ss))
+    return pref * math.exp(-dmu2 / (2.0 * ss))
 
 
 # doubles in the quadrature work buffer: 512 KiB, so it stays in L2
@@ -246,17 +246,20 @@ def overlap_quadrature(a: GaussianState, b: GaussianState,
     return float(overlap_quadrature_many(a.mu, a.sigma, b.mu, b.sigma, cfg)[0])
 
 
-def _sigma_sq_sum(a: GaussianState, b: GaussianState) -> float:
-    """sigma_a**2 + sigma_b**2, refused where twice it overflows.
+def _squares(a: GaussianState, b: GaussianState) -> tuple[float, float]:
+    """(mu_a - mu_b)**2 and ss = sigma_a**2 + sigma_b**2, refused where either overflows.
 
-    Both closed forms divide the squared centre separation by twice this
-    sum; at inf that exponent rounds to 0, and distinct states would come
-    out at distance 0 with overlap 1 or NaN.
+    Both closed forms divide the squared centre separation by 2*ss; at inf
+    that exponent rounds to 0, and distinct states would come out at
+    distance 0 with overlap 1 or NaN.  Squares are products, as numpy's are:
+    Python's ``**`` goes through libm ``pow``, which can round differently.
     """
+    dmu = a.mu - b.mu
+    dmu2 = dmu * dmu
     ss = a.sigma * a.sigma + b.sigma * b.sigma
-    if 2.0 * ss == math.inf:
-        raise OverflowError("sigma_a**2 + sigma_b**2 overflows")
-    return ss
+    if dmu2 == math.inf or 2.0 * ss == math.inf:
+        raise OverflowError("(mu_a - mu_b)**2 or 2*(sigma_a**2 + sigma_b**2) overflows")
+    return dmu2, ss
 
 
 def _distance(xp, dmu2, dsigma, sab, ss):
@@ -267,7 +270,7 @@ def _distance(xp, dmu2, dsigma, sab, ss):
     p = sqrt(2*sab/ss) avoids the equal sqrt(1 - v), which cancels at wide width ratios.
     """
     u = dmu2 / (2.0 * ss)
-    v = dsigma**2 / ss
+    v = dsigma * dsigma / ss
     p = xp.sqrt(2.0 * sab / ss)
     return xp.sqrt(2.0 * (v / (1.0 + p) - p * xp.expm1(-u)))
 
@@ -282,8 +285,8 @@ def state_distance(a: GaussianState, b: GaussianState) -> float:
     OverflowError where (mu_a - mu_b)**2 or 2*(sigma_a**2 + sigma_b**2)
     leaves the double range.
     """
-    return _distance(math, (a.mu - b.mu) ** 2, a.sigma - b.sigma, a.sigma * b.sigma,
-                     _sigma_sq_sum(a, b))
+    dmu2, ss = _squares(a, b)
+    return _distance(math, dmu2, a.sigma - b.sigma, a.sigma * b.sigma, ss)
 
 
 def distance_from_params(mu1, sigma1, mu2, sigma2):

@@ -1,6 +1,11 @@
 import dataclasses
 import math
+import os
+import pathlib
 import pickle
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 
@@ -9,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qfixpoint
 from qfixpoint.gaussian import (_NODE_BUDGET, DEFAULT_QUADRATURE, GaussianState,
                                 QuadratureConfig, audit_metric_axioms, distance_from_params,
                                 evaluate, overlap_closed_form, overlap_quadrature,
@@ -357,6 +363,29 @@ def test_distance_matches_vectorized_form():
         scalar = state_distance(GaussianState(mu[0, i], sg[0, i]),
                                 GaussianState(mu[1, i], sg[1, i]))
         assert vec[i] == pytest.approx(scalar, rel=1e-14, abs=0)
+
+
+def test_distance_matches_vectorized_form_bitwise_without_avx512_kernels():
+    # both kernels square by multiplication, and without numpy's AVX512
+    # kernels np.sqrt and np.expm1 round as libm does; with them on, about 2%
+    # of pairs still differ in the last bit through np.expm1
+    script = textwrap.dedent("""
+        import numpy as np
+        from qfixpoint.gaussian import GaussianState, distance_from_params, state_distance
+        rng = np.random.default_rng(17)
+        mu = rng.uniform(-10.0, 10.0, (2, 20000))
+        sg = rng.uniform(0.1, 10.0, (2, 20000))
+        vec = distance_from_params(mu[0], sg[0], mu[1], sg[1]).tolist()
+        print(sum(state_distance(GaussianState(a, s), GaussianState(b, t)) != v
+                  for a, s, b, t, v in zip(mu[0], sg[0], mu[1], sg[1], vec)))
+    """)
+    src = str(pathlib.Path(qfixpoint.__file__).parent.parent)
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 @pytest.mark.parametrize("a, b", [
