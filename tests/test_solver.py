@@ -61,8 +61,9 @@ def test_parameter_box_rejects_non_finite_bounds(bounds):
         ParameterBox(*bounds)
 
 
-# The draws that ParameterBox.sample replaced, kept verbatim: the estimator's
-# pairs, the compare carrier's sampler and audit_metric_axioms' triples.
+# The draws that ParameterBox.sample replaced, kept verbatim apart from taking
+# the box as an argument: the estimator's pairs, the compare carrier's sampler
+# and audit_metric_axioms' triples.
 
 def _old_sample_pair_params(region, samples, rng):
     mu1 = rng.uniform(region.mu_lo, region.mu_hi, samples)
