@@ -183,7 +183,9 @@ def overlap_quadrature_many(mu1, sigma1, mu2, sigma2,
     Same rule as :func:`overlap_quadrature`.  The four inputs must be finite
     1-D arrays (or scalars) of one common size, with every sigma > 0; raises
     ZeroDivisionError where (sigma1*sigma2)**2 is below the smallest normal
-    double and OverflowError where it is infinite.  The exponent
+    double and OverflowError where pi**2*(sigma1*sigma2)**2 is infinite.  By
+    linearity the interference excess S[(psi_1 + psi_2)**2] - S[psi_1**2]
+    - S[psi_2**2] equals 2*S[psi_1*psi_2].  The exponent
     -(z_1**2 + z_2**2)/2 is one quadratic (A*t + B)*t + C in the centred node
     offset t, so near the integrand's peak no large terms cancel.  Pairs
     whose windows meet are evaluated in chunks of
@@ -199,20 +201,20 @@ def overlap_quadrature_many(mu1, sigma1, mu2, sigma2,
     if not (all(np.isfinite(a).all() for a in (mu1, sigma1, mu2, sigma2))
             and (sigma1 > 0.0).all() and (sigma2 > 0.0).all()):
         raise ValueError("state parameters must be finite and every sigma positive")
-    # the prefactor's (s1*s2)**2 must be a normal double; the closed form
-    # raises the same exceptions for its own underflow and overflow
+    # the closed form raises the same exceptions for its own underflow and overflow
     with np.errstate(over="ignore", under="ignore"):
         width_sq = (sigma1 * sigma2) ** 2
+        scaled = (math.pi * math.pi) * width_sq
     if (width_sq < sys.float_info.min).any():
         raise ZeroDivisionError("(sigma1*sigma2)**2 underflows")
-    if (width_sq == math.inf).any():
-        raise OverflowError("(sigma1*sigma2)**2 overflows")
+    if (scaled == math.inf).any():
+        raise OverflowError("pi**2*(sigma1*sigma2)**2 overflows")
     meet, h, d1, e1, d2, e2 = _shared_window(mu1, sigma1, mu2, sigma2, cfg)
     # sums of per-state terms keep the result bitwise symmetric under argument swap
     qa = -0.5 * (e1 * e1 + e2 * e2)
     qb = -(d1 * e1 + d2 * e2)
     qc = -0.5 * (d1 * d1 + d2 * d2)
-    pref = ((math.pi * math.pi) * width_sq[meet]) ** -0.25
+    pref = scaled[meet] ** -0.25
     t, wts = _simpson_nodes(cfg.panels)
     rows = max(1, _NODE_BUDGET // t.size)
     out = np.zeros(mu1.size)
@@ -239,9 +241,8 @@ def overlap_quadrature(a: GaussianState, b: GaussianState,
     The window is the intersection of [mu - W*sigma, mu + W*sigma] over the
     two states, with W = half_width_sigmas.  Where the windows do not meet
     the result is exactly 0.0; the true overlap is then below exp(-W**2/2).
-    Independent of the closed form; agrees with it to within 1e-15 on the
-    acceptance grid and to well below 1e-10 at any width ratio at the
-    default configuration.
+    Independent of the closed form; within 1e-15 of it on the acceptance
+    grid, and well below 1e-10 at any width ratio at the default config.
     """
     return float(overlap_quadrature_many(a.mu, a.sigma, b.mu, b.sigma, cfg)[0])
 

@@ -316,6 +316,9 @@ def test_nan_tolerance_exits_2(capsys, argv):
         ["--a", "0,1e160", "--b", "5e150,1e160"],
         ["--a", "0,1e160", "--b", "0,1.0000001e160"],
         ["--a", "0,0.8e154", "--b", "1e154,0.8e154"])),
+    # pi**2*(sigma_a*sigma_b)**2 in the quadrature prefactor overflows: this
+    # used to print overlap_quadrature 0 with exit 0 and a RuntimeWarning
+    ["distance", "--a", "0,1e77", "--b", "0,1e77", "--quadrature"],
     # the trace stays in range, but (mu_0 - mu*)**2 in the tail bound overflows
     *(["audit", "--target", "banach-bounds", "--map=0.99,0,0.5,0.5", "--start=1e155,1",
        "--max-iter", "1000000", "--k", "0.999", "--format", fmt] for fmt in ("table", "csv")),

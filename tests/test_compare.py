@@ -9,7 +9,8 @@ from qfixpoint.compare import (OUT_OF_SCOPE_NOTES, build_feature_report,
                                gaussian_parameter_metric,
                                interference_excess, interference_excess_quadrature)
 from qfixpoint.fuzzy import fuzzy_fixed_point
-from qfixpoint.gaussian import GaussianState, state_distance
+from qfixpoint.gaussian import (GaussianState, QuadratureConfig, overlap_quadrature,
+                                state_distance)
 from qfixpoint.solver import (DEFAULT_MAPS, DEFAULT_REGION, DEFAULT_STARTS,
                               AffineGaussianMap, NotConvergedError, analytic_fixed_point,
                               apply_map, estimate_contraction_factor, iterate_to_fixed_point,
@@ -23,17 +24,30 @@ PROBE = (GaussianState(0, 1), GaussianState(1, 1))
 def test_interference_identical_states():
     s = GaussianState(0.3, 2.0)
     assert interference_excess(s, s) == 2.0
-    # the quadrature's three integrals round differently at each width: the
-    # excess is exactly 2.0 at 26 of these 62 widths and 2 ulps off at others
-    for sigma in (1e-150, 1e150, 0.3, 1.0, 2.0, *np.geomspace(1e-100, 1e100, 57)):
+    # the ends are just inside the quadrature kernel's domain for equal widths
+    for sigma in (1.3e-77, 6.5e76, 0.3, 1.0, 2.0, *np.geomspace(1.3e-77, 6.5e76, 57)):
         s = GaussianState(0.0, float(sigma))
         assert abs(interference_excess_quadrature(s, s) - 2.0) <= 4 * math.ulp(2.0), sigma
-    # sigma**2 is not a normal double: (pi*sigma**2)**-0.25 gave 1.9999456 at
-    # 1e-160 and a bare OverflowError at 1e160
-    for sigma, error in ((1e-160, ZeroDivisionError), (1e160, OverflowError)):
+    # (sigma**2)**2 is not a normal double, or pi**2 times it overflows
+    for sigma, error in ((1e-100, ZeroDivisionError), (1e-150, ZeroDivisionError),
+                         (1e-160, ZeroDivisionError), (7e76, OverflowError),
+                         (1e150, OverflowError), (1e160, OverflowError)):
         s = GaussianState(0.0, sigma)
         with pytest.raises(error, match="sigma"):
             interference_excess_quadrature(s, s)
+
+
+def test_interference_quadrature_is_twice_the_overlap_quadrature():
+    # the Simpson rule is linear, so the excess is 2*S[psi_a*psi_b] bitwise
+    rng = np.random.default_rng(21)
+    for cfg in (None, QuadratureConfig(half_width_sigmas=12.0, panels=256),
+                QuadratureConfig(half_width_sigmas=8.0, panels=64)):
+        for _ in range(100):
+            a, b = (GaussianState(rng.uniform(-10, 10), 10.0 ** rng.uniform(-3, 3))
+                    for _ in range(2))
+            excess = interference_excess_quadrature(a, b, cfg)
+            assert excess == 2.0 * overlap_quadrature(a, b, cfg), (a, b, cfg)
+            assert interference_excess_quadrature(b, a, cfg) == excess, (a, b, cfg)
 
 
 def test_interference_probe_value_from_overlap():

@@ -223,6 +223,9 @@ def test_overlap_quadrature_many_rejects_bad_parameters(args):
     (1e-150, ZeroDivisionError),  # (s1*s2)**2 rounds to 0: used to return inf
     (1e-80, ZeroDivisionError),   # subnormal: used to return 1.0000037757635869
     (1e160, OverflowError),       # used to return 0.0 with an overflow warning
+    # (s1*s2)**2 is finite but pi**2 times it is not: used to return 0.0
+    # with an overflow warning
+    (1e77, OverflowError),
 ])
 def test_overlap_quadrature_many_rejects_unrepresentable_prefactor(sigma, error):
     sigmas = np.array([1.0, sigma])
