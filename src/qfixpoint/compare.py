@@ -13,9 +13,9 @@ the contraction condition.
 from dataclasses import dataclass
 from typing import Callable
 
-# evaluate, estimate_contraction_factor, fuzzy_fixed_point and sample_state_pairs
-# are not called here, but bench/tracing.py patches them by name
-from .fuzzy import FuzzyMetric, FuzzyFixedPointReport, _condition_audit, fuzzy_fixed_point
+# evaluate, estimate_contraction_factor and sample_state_pairs are not called
+# here, but bench/tracing.py patches them by name
+from .fuzzy import FuzzyMetric, FuzzyFixedPointReport, fuzzy_fixed_point
 from .gaussian import (GaussianState, QuadratureConfig, evaluate, overlap_closed_form,
                        overlap_quadrature, state_distance)
 from .solver import (DEFAULT_MAX_ITERATIONS, DEFAULT_REGION, DEFAULT_TOLERANCE,
@@ -100,14 +100,13 @@ def build_feature_report(m: AffineGaussianMap, start: GaussianState,
     The fuzzy contraction in the state distance is the same Picard iteration
     as the quantum one, so the fuzzy report holds the quantum trace itself
     (``fuzzy_report.trace is quantum_report``) and ``agreement_distance`` is
-    0 by identity.  What the fuzzy side adds is its condition audit, on the
-    2000 pairs that estimate_contraction_factor draws from DEFAULT_REGION
-    with this seed: they are measured once, for ``k_estimate`` and for the
-    audit's 16 t values per pair; states are built only for a witness, and
-    no base distance is called.  Raises NotConvergedError if the iteration
-    exhausts its budget.
+    0 by identity.  What the fuzzy side adds is fuzzy_fixed_point's condition
+    audit, on the 2000 pairs that estimate_contraction_factor draws from
+    DEFAULT_REGION with this seed: they are measured once, for ``k_estimate``
+    and for the audit's 16 t values per pair; states are built only for a
+    witness, and no base distance is called.  Raises NotConvergedError if the
+    iteration exhausts its budget.
     """
-    import numpy as np
     quantum = iterate_to_fixed_point(m, start, tolerance, max_iterations)
     if not quantum.converged:
         raise NotConvergedError("quantum iteration did not converge", report=quantum)
@@ -116,9 +115,8 @@ def build_feature_report(m: AffineGaussianMap, start: GaussianState,
     # the condition requires k strictly inside (0, 1); the constant map
     # estimates k = 0, any positive factor below 1 certifies it
     k = min(max(k_raw, 1e-6), 1.0 - 1e-12)
-    condition = _condition_audit(
-        d, d_f, k, np.random.default_rng(rng_seed),
-        lambda i: (GaussianState(mu1[i], sg1[i]), GaussianState(mu2[i], sg2[i])))
+    fuzzy = fuzzy_fixed_point(quantum, d, d_f, k, lambda i: (
+        GaussianState(mu1[i], sg1[i]), GaussianState(mu2[i], sg2[i])), rng_seed)
 
     return FeatureReport(
         interference_excess_quantum=interference_excess(*probe_pair),
@@ -127,5 +125,5 @@ def build_feature_report(m: AffineGaussianMap, start: GaussianState,
         k_estimate=k_raw,
         notes=dict(OUT_OF_SCOPE_NOTES),
         quantum_report=quantum,
-        fuzzy_report=FuzzyFixedPointReport(trace=quantum, k=k, condition=condition),
+        fuzzy_report=fuzzy,
     )

@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Any, Callable
 
 from .reports import AuditCheck, AxiomAuditReport, _first, check
-from .solver import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, FixedPointReport, _iterate
+from .solver import FixedPointReport
 
 __all__ = [
     "TNormKind",
@@ -35,9 +35,10 @@ AUDIT_SLACK = 1e-12
 
 T_RANGE = (1e-3, 1e3)
 LOG_T_RANGE = (math.log10(T_RANGE[0]), math.log10(T_RANGE[1]))
-# (pair, t) samples per condition-audit block: 64 KiB per float64 temporary, under
-# glibc's mmap threshold, so blocks reuse heap memory instead of faulting in pages
-_AUDIT_BLOCK = 8192
+T_SAMPLES = 16  # t values per pair in the fuzzy contraction audit
+# pairs per condition-audit block: 8192 (pair, t) samples, 64 KiB per float64 temporary,
+# under glibc's mmap threshold, so blocks reuse heap memory instead of faulting in pages
+_AUDIT_ROWS = 8192 // T_SAMPLES
 
 
 class TNormKind(str, Enum):
@@ -240,26 +241,29 @@ class FuzzyFixedPointReport:
     condition: GSConditionAudit
 
 
-def _condition_audit(d, d_f, k: float, rng: "np.random.Generator", pair_at: Callable,
-                     t_samples: int = 16) -> GSConditionAudit:
-    """Audit M(f(x), f(y), k*t) >= M(x, y, t) from the t-independent distances.
+def fuzzy_fixed_point(trace: FixedPointReport, d, d_f, k: float, pair_at: Callable,
+                      rng_seed: int = 0) -> FuzzyFixedPointReport:
+    """Audit M(f(x), f(y), k*t) >= M(x, y, t) beside ``trace``, the Picard run in d.
 
-    The 1-D arrays ``d`` and ``d_f`` hold d(x, y) and d(f(x), f(y)) per
-    pair.  Each pair gets a row of ``t_samples`` t values drawn log-uniformly
-    over T_RANGE from ``rng``.  The witness is the first violation in
-    pair-major order, and ``pair_at(i)`` gives the (x, y) it names.  Pairs
-    are graded in blocks of at most _AUDIT_BLOCK samples, drawing each
-    block's t values in turn from the one sequential stream, so the result is
-    bitwise that of one draw over all pairs.
+    ``d`` and ``d_f`` are 1-D arrays of d(x, y) and d(f(x), f(y)) per pair.
+    Each pair gets T_SAMPLES t values, log-uniform over T_RANGE, drawn for
+    _AUDIT_ROWS pairs at a time from one stream seeded with ``rng_seed``, so
+    the blocks change no bit.  The witness is the first violation in
+    pair-major order, named by ``pair_at(i)``; NaN margins count as neither
+    violations nor extremes.  Raises ValueError unless 0 < k < 1, or if d is empty.
     """
     import numpy as np
-    rows = max(1, _AUDIT_BLOCK // t_samples)
+    if not 0.0 < k < 1.0:
+        raise ValueError("k must lie in (0, 1)")
+    if d.size == 0:
+        raise ValueError("the condition audit needs at least one pair")
+    rng = np.random.default_rng(rng_seed)
     violations, min_margin, max_abs, witness = 0, math.inf, 0.0, None
-    for lo in range(0, d.size, rows):
-        ts = 10.0 ** rng.uniform(*LOG_T_RANGE, (min(rows, d.size - lo), t_samples))
+    for lo in range(0, d.size, _AUDIT_ROWS):
+        ts = 10.0 ** rng.uniform(*LOG_T_RANGE, (min(_AUDIT_ROWS, d.size - lo), T_SAMPLES))
         kt = k * ts
-        margin = _grade(kt, d_f[lo:lo + rows, None])
-        margin -= _grade(ts, d[lo:lo + rows, None], out=kt)
+        margin = _grade(kt, d_f[lo:lo + _AUDIT_ROWS, None])
+        margin -= _grade(ts, d[lo:lo + _AUDIT_ROWS, None], out=kt)
         failed = margin < -AUDIT_SLACK
         violations += int(np.count_nonzero(failed))
         if witness is None and (bad := _first(failed)) is not None:
@@ -268,51 +272,9 @@ def _condition_audit(d, d_f, k: float, rng: "np.random.Generator", pair_at: Call
         # fmin/fmax skip NaN margins, as the comparisons that count violations do
         min_margin = np.fmin.reduce(margin, axis=None, initial=min_margin)
         max_abs = np.fmax.reduce(np.abs(margin, out=margin), axis=None, initial=max_abs)
-    return GSConditionAudit(d.size * t_samples, violations, float(min_margin), float(max_abs),
-                            witness, holds=violations == 0)
-
-
-def fuzzy_fixed_point(fm: FuzzyMetric, f: Callable, k: float, start,
-                      tolerance: float = DEFAULT_TOLERANCE,
-                      max_iterations: int = DEFAULT_MAX_ITERATIONS, *,
-                      condition_pairs=None, point_sampler: Callable | None = None,
-                      pair_samples: int = 200, t_samples: int = 16,
-                      rng_seed: int = 0) -> FuzzyFixedPointReport:
-    """Iterate f to a fixed point, and audit the fuzzy contraction condition.
-
-    The iteration is the solver's Picard loop in the base distance, run
-    until consecutive iterates are within ``tolerance``; its trace is the
-    solver's FixedPointReport, Banach quantities included.  The condition
-    M(f(x), f(y), k*t) >= M(x, y, t) is sampled on ``condition_pairs`` (or
-    on pairs drawn via ``point_sampler``) with t log-uniform over T_RANGE;
-    violations are reported but do not stop the iteration, and the witness
-    is the first violation in pair-major order.  Raises ValueError when there
-    is no pair or no t value, since an empty audit would hold vacuously.
-
-    ``fm.base_distance`` is called once per iteration step, plus
-    2 * len(pairs) times by the audit, since d(x, y) and d(f(x), f(y)) do
-    not depend on t.
-    """
-    import numpy as np
-    if not 0.0 < k < 1.0:
-        raise ValueError("k must lie in (0, 1)")
-    rng = np.random.default_rng(rng_seed)
-    if condition_pairs is None:
-        if point_sampler is None:
-            raise ValueError("provide condition_pairs or a point_sampler")
-        condition_pairs = [(point_sampler(rng), point_sampler(rng))
-                           for _ in range(pair_samples)]
-    pairs = list(condition_pairs)
-    if not pairs or t_samples < 1:
-        raise ValueError("the condition audit needs at least one pair and one t value")
-    trace = _iterate(f, fm.base_distance, start, tolerance, max_iterations)
-    d_f = _distances(fm, [(f(x), f(y)) for x, y in pairs])
-    return FuzzyFixedPointReport(
-        trace=trace,
-        k=k,
-        condition=_condition_audit(_distances(fm, pairs), d_f, k, rng, pairs.__getitem__,
-                                   t_samples),
-    )
+    condition = GSConditionAudit(d.size * T_SAMPLES, violations, float(min_margin),
+                                 float(max_abs), witness, holds=violations == 0)
+    return FuzzyFixedPointReport(trace=trace, k=k, condition=condition)
 
 
 def absolute_difference(x: float, y: float) -> float:

@@ -119,8 +119,8 @@ def evaluate(state: GaussianState, x):
 def overlap_closed_form(a: GaussianState, b: GaussianState) -> float:
     """Inner product <a|b> of two normalized Gaussian states.
 
-    Symmetric in its arguments, always in (0, 1], and equal to 1 exactly
-    when the two parameter pairs coincide.
+    Symmetric, in [0, 1] and 1 for coinciding parameter pairs; it rounds to 1 for pairs
+    about 1e-8 widths apart too, and to 0.0 as for (0, 1) and (100, 1).
     """
     dmu2, ss = _squares(a, b)
     # grouping keeps the result bitwise symmetric under argument swap
@@ -276,25 +276,41 @@ def _distance(xp, dmu2, dsigma, sab, ss):
     return xp.sqrt(2.0 * (v / (1.0 + p) - p * xp.expm1(-u)))
 
 
+# a lost square, u or v stands for a term of d**2/2 below float_info.min/min(ss, 1),
+# which moves d by under 2**-54 relative where d**2*min(ss, 1) is above this
+_RESOLVED_SQ = 2.0**55 * sys.float_info.min
+
+
+def _lost(dmu, dsigma, ss):
+    """Where a nonzero dmu or dsigma gives a square, u or v below the normal range."""
+    dmu2, dsigma2, tiny = dmu * dmu, dsigma * dsigma, sys.float_info.min
+    return ((dmu != 0.0) & ((dmu2 < tiny) | (dmu2 / (2.0 * ss) < tiny))
+            | (dsigma != 0.0) & ((dsigma2 < tiny) | (dsigma2 / ss < tiny)))
+
+
 def state_distance(a: GaussianState, b: GaussianState) -> float:
     """L2 distance between two states, d = sqrt(2 - 2*<a|b>).
 
     Evaluated through an algebraically equivalent cancellation-free form, exact
     to a few ulps down to distances far below sqrt(machine epsilon) and at width
     ratios up to 1e8; the naive 2 - 2*overlap cannot resolve below ~1e-8.
-    Zero exactly iff the parameter pairs are identical.  Raises
-    OverflowError where (mu_a - mu_b)**2 or 2*(sigma_a**2 + sigma_b**2)
-    leaves the double range.
+    Zero exactly iff the parameter pairs are identical: raises ValueError where
+    squared differences underflow and d would lose digits or come out 0, and
+    OverflowError where (mu_a - mu_b)**2 or 2*(sigma_a**2 + sigma_b**2) overflows.
     """
     dmu2, ss = _squares(a, b)
-    return _distance(math, dmu2, a.sigma - b.sigma, a.sigma * b.sigma, ss)
+    d = _distance(math, dmu2, a.sigma - b.sigma, a.sigma * b.sigma, ss)
+    # d*d*min(ss, 1.0) as two comparisons, which cost less than the call of min
+    if (d * d < _RESOLVED_SQ or d * d * ss < _RESOLVED_SQ) and _lost(
+            a.mu - b.mu, a.sigma - b.sigma, ss):
+        raise ValueError("the states are too close to resolve in double precision")
+    return d
 
 
 def distance_from_params(mu1, sigma1, mu2, sigma2):
     """Vectorized :func:`state_distance` on raw parameter arrays.
 
-    Raises OverflowError, as :func:`state_distance` does, where
-    (mu1 - mu2)**2 or 2*(sigma1**2 + sigma2**2) leaves the double range.
+    Raises OverflowError and ValueError where :func:`state_distance` does.
     """
     import numpy as np
     with np.errstate(over="ignore"):
@@ -302,7 +318,11 @@ def distance_from_params(mu1, sigma1, mu2, sigma2):
         ss = sigma1 * sigma1 + sigma2 * sigma2
         if dmu2.max() == math.inf or 2.0 * ss.max() == math.inf:
             raise OverflowError("(mu1 - mu2)**2 or 2*(sigma1**2 + sigma2**2) overflows")
-    return _distance(np, dmu2, sigma1 - sigma2, sigma1 * sigma2, ss)
+    d = _distance(np, dmu2, sigma1 - sigma2, sigma1 * sigma2, ss)
+    suspect = d * d * np.minimum(ss, 1.0) < _RESOLVED_SQ
+    if suspect.any() and (suspect & _lost(mu1 - mu2, sigma1 - sigma2, ss)).any():
+        raise ValueError("the states are too close to resolve in double precision")
+    return d
 
 
 def audit_metric_axioms(samples: int = 10000, rng_seed: int = 0,

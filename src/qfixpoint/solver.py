@@ -9,11 +9,9 @@ factor and the geometric error bounds at it.  estimate_contraction_factor
 returns the largest sampled ratio: a lower bound on the region's sup ratio.
 """
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
 
 from .gaussian import SQRT2, GaussianState, ParameterBox, distance_from_params, state_distance
 from .reports import AxiomAuditReport, check
@@ -82,18 +80,18 @@ class AffineGaussianMap:
 class FixedPointReport:
     """Full trace of one fixed-point iteration.
 
-    ``step_distances[n]`` is the iteration's metric between iterates n+1 and
-    n; ``k_estimate`` is the largest ratio of consecutive step distances (steps
+    ``step_distances[n]`` is the state distance between iterates n+1 and n;
+    ``k_estimate`` is the largest ratio of consecutive step distances (steps
     below RATIO_FLOOR skipped); ``a_priori_bounds[n]`` is the geometric tail
     bound k^n/(1-k) * step_distances[0] on the distance from iterate n to the
     limit, empty when no contraction factor below 1 was observed.
     """
 
-    iterates: tuple
+    iterates: tuple[GaussianState, ...]
     step_distances: tuple[float, ...]
     k_estimate: float
     a_priori_bounds: tuple[float, ...]
-    fixed_point: Any
+    fixed_point: GaussianState
     converged: bool
     iterations_used: int
 
@@ -168,25 +166,29 @@ def estimate_contraction_factor(m: AffineGaussianMap, region: ParameterBox,
     return _estimator_sample(m, region, samples, rng_seed)[-1]
 
 
-def _iterate(step: Callable, distance: Callable, start, tolerance: float,
-             max_iterations: int) -> FixedPointReport:
-    """Picard iteration x_{n+1} = step(x_n) until distance(x_{n+1}, x_n) <= tolerance.
+def iterate_to_fixed_point(m: AffineGaussianMap, start: GaussianState,
+                           tolerance: float = DEFAULT_TOLERANCE,
+                           max_iterations: int = DEFAULT_MAX_ITERATIONS) -> FixedPointReport:
+    """Picard iteration x_{n+1} = m(x_n) until d(x_{n+1}, x_n) <= ``tolerance``.
 
-    Returns the full trace, start first; ``converged`` records whether the
-    tolerance was met within ``max_iterations`` steps.
+    ``converged`` records whether that a-posteriori criterion was met within
+    ``max_iterations`` steps; the report always contains the full trace,
+    start first.  A tolerance of sqrt(2) or more is refused: no state
+    distance exceeds sqrt(2), so the first step would pass for convergence.
     """
+    if tolerance >= SQRT2:
+        raise ValueError("tolerance must be below sqrt(2), the largest state distance")
     if not (tolerance > 0.0):
         raise ValueError("tolerance must be positive")
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
     iterates = [start]
     steps: list[float] = []
-    current = start
+    # module globals, looked up per step, so a wrapper set on them sees each call
     for _ in range(max_iterations):
-        nxt = step(current)
-        steps.append(float(distance(nxt, current)))
+        nxt = apply_map(m, iterates[-1])
+        steps.append(state_distance(nxt, iterates[-1]))
         iterates.append(nxt)
-        current = nxt
         if steps[-1] <= tolerance:
             break
 
@@ -201,28 +203,11 @@ def _iterate(step: Callable, distance: Callable, start, tolerance: float,
         step_distances=tuple(steps),
         k_estimate=k,
         a_priori_bounds=bounds,
-        fixed_point=current,
+        fixed_point=iterates[-1],
         # the loop breaks exactly when a step meets the tolerance
         converged=steps[-1] <= tolerance,
         iterations_used=len(steps),
     )
-
-
-def iterate_to_fixed_point(m: AffineGaussianMap, start: GaussianState,
-                           tolerance: float = DEFAULT_TOLERANCE,
-                           max_iterations: int = DEFAULT_MAX_ITERATIONS) -> FixedPointReport:
-    """Iterate the map until consecutive iterates are within ``tolerance``.
-
-    Stops on the a-posteriori criterion d(iterate_{n+1}, iterate_n) <=
-    tolerance; ``converged`` records whether that happened within the budget.
-    The report always contains the full trace.  A tolerance of sqrt(2) or
-    more is refused: no state distance exceeds sqrt(2), so the first step
-    would pass for convergence.
-    """
-    if tolerance >= SQRT2:
-        raise ValueError("tolerance must be below sqrt(2), the largest state distance")
-    return _iterate(functools.partial(apply_map, m), state_distance, start, tolerance,
-                    max_iterations)
 
 
 def verify_banach_bounds(report: FixedPointReport, k: float) -> AxiomAuditReport:

@@ -334,6 +334,23 @@ def test_overflowing_parameters_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    # these printed distance 0 (and overlap 1) or a value 5.6e-6 relative off
+    *(["distance", "--a", "0,1", "--b", b, "--format", fmt]
+      for b in ("1e-170,1", "1e-160,1") for fmt in ("table", "json")),
+    ["distance", "--a", "0,1e100", "--b", "1e-100,1e100"],
+    # the steps shrink below what the distance resolves, and a zero step
+    # used to pass for convergence
+    ["iterate", "--map", "0.5,0,0.5,0.5", "--start", "4,3", "--tol", "5e-324"],
+])
+def test_states_too_close_to_resolve_exit_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: the states are too close to resolve in double precision\n"
+
+
+@pytest.mark.parametrize("argv", [
     ["distance", "--a", "0,1e-200", "--b", "0,1e-200"],
     ["distance", "--a", "0,1e-200", "--b", "1,1e-200"],
     ["iterate", "--map", "0.5,0,0.5,1e-300", "--start", "0,1e-300"],

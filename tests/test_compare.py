@@ -8,9 +8,9 @@ from qfixpoint import compare
 from qfixpoint.compare import (OUT_OF_SCOPE_NOTES, build_feature_report,
                                gaussian_parameter_metric,
                                interference_excess, interference_excess_quadrature)
-from qfixpoint.fuzzy import fuzzy_fixed_point
-from qfixpoint.gaussian import (GaussianState, QuadratureConfig, overlap_quadrature,
-                                state_distance)
+from qfixpoint.fuzzy import T_SAMPLES, fuzzy_fixed_point
+from qfixpoint.gaussian import (GaussianState, QuadratureConfig, overlap_closed_form,
+                                overlap_quadrature, state_distance)
 from qfixpoint.solver import (DEFAULT_MAPS, DEFAULT_REGION, DEFAULT_STARTS,
                               AffineGaussianMap, NotConvergedError, analytic_fixed_point,
                               apply_map, estimate_contraction_factor, iterate_to_fixed_point,
@@ -129,10 +129,12 @@ def test_feature_report_condition_audit_equals_generic_audit(m, seed):
     start = GaussianState(4, 3)
     report = build_feature_report(m, start, PROBE, rng_seed=seed)
     got = report.fuzzy_report.condition
+    # the same pairs, measured one by one with the scalar distance kernel
     pairs = sample_state_pairs(DEFAULT_REGION, 2000, np.random.default_rng(seed))
-    want = fuzzy_fixed_point(gaussian_parameter_metric(), lambda s: apply_map(m, s),
-                             report.fuzzy_report.k, start, max_iterations=1,
-                             condition_pairs=pairs, rng_seed=seed).condition
+    d = np.array([state_distance(x, y) for x, y in pairs])
+    d_f = np.array([state_distance(apply_map(m, x), apply_map(m, y)) for x, y in pairs])
+    want = fuzzy_fixed_point(report.quantum_report, d, d_f, report.fuzzy_report.k,
+                             pairs.__getitem__, seed).condition
     assert (got.samples, got.violations, got.holds) == (want.samples, want.violations,
                                                         want.holds)
     # the array distances differ from the scalar kernel's by at most a few
@@ -147,6 +149,22 @@ def test_feature_report_condition_audit_equals_generic_audit(m, seed):
         assert got.witness["margin"] == close(want.witness["margin"])
     else:
         assert got.witness is want.witness is None
+
+
+def test_feature_report_comes_from_the_traced_fuzzy_fixed_point(monkeypatch):
+    # build_feature_report looks fuzzy_fixed_point up on the compare module,
+    # the name a tracer wraps, and reports what that call returned
+    returned = []
+
+    def counting(*args, **kwargs):
+        returned.append(fuzzy_fixed_point(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(compare, "fuzzy_fixed_point", counting)
+    report = build_feature_report(DEFAULT_MAPS[0], GaussianState(4, 3), PROBE)
+    assert len(returned) == 1
+    assert report.fuzzy_report is returned[0]
+    assert report.fuzzy_report.trace is report.quantum_report
 
 
 @pytest.mark.parametrize("m", [*DEFAULT_MAPS, AffineGaussianMap(0.95, 0.0, 0.3, 0.2)])
@@ -171,7 +189,7 @@ def test_feature_report_runs_the_iteration_once(monkeypatch):
     monkeypatch.setattr(compare, "gaussian_parameter_metric", counting_metric)
     report = build_feature_report(DEFAULT_MAPS[0], GaussianState(4, 3), PROBE)
     assert calls == []
-    assert report.fuzzy_report.condition.samples == 2000 * 16
+    assert report.fuzzy_report.condition.samples == 2000 * T_SAMPLES
     assert report.fuzzy_report.trace is report.quantum_report
     assert report.agreement_distance == 0.0
 
@@ -192,7 +210,9 @@ def test_identical_probe_gives_excess_two():
 def test_far_probe_frameworks_agree_on_zero():
     report = build_feature_report(DEFAULT_MAPS[0], GaussianState(4, 3),
                                   (GaussianState(0, 1), GaussianState(100, 1)))
-    assert report.interference_excess_quantum < 1e-10
+    # exp(-100**2/4) underflows, so the closed-form overlap is 0.0 exactly
+    assert overlap_closed_form(GaussianState(0, 1), GaussianState(100, 1)) == 0.0
+    assert report.interference_excess_quantum == 0.0
     assert report.interference_excess_fuzzy == 0.0
 
 
@@ -207,15 +227,13 @@ CARRIER_MAPS = (*DEFAULT_MAPS, AffineGaussianMap(0.99, 0.0, 0.99, 0.05),
 
 
 def test_fuzzy_iteration_on_state_carrier_matches_quantum():
-    # the fuzzy contraction in the state distance is the quantum iteration:
-    # the whole trace, Banach quantities included, bit for bit, which is what
-    # lets build_feature_report take its fuzzy trace from the quantum one
+    # the fuzzy contraction in the state distance is the quantum iteration, so
+    # the report holds one trace for both: the solver's, Banach quantities included
     for m in CARRIER_MAPS:
         for start in DEFAULT_STARTS:
-            quantum = iterate_to_fixed_point(m, start)
-            fuzzy = fuzzy_fixed_point(gaussian_parameter_metric(),
-                                      lambda s: apply_map(m, s), 0.5, start,
-                                      condition_pairs=[(start, start)])
-            assert fuzzy.trace == quantum, (m, start)
+            report = build_feature_report(m, start, PROBE)
+            assert report.fuzzy_report.trace is report.quantum_report, (m, start)
+            assert report.quantum_report == iterate_to_fixed_point(m, start), (m, start)
             if m in DEFAULT_MAPS:
-                assert state_distance(fuzzy.trace.fixed_point, analytic_fixed_point(m)) < 1e-10
+                fp = analytic_fixed_point(m)
+                assert state_distance(report.fuzzy_report.trace.fixed_point, fp) < 1e-10

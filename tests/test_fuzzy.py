@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfixpoint.compare import gaussian_parameter_metric, gaussian_state_sampler
-from qfixpoint.fuzzy import (_AUDIT_BLOCK, AUDIT_SLACK, T_RANGE, FuzzyMetric, TNormKind,
-                             _condition_audit, _grade, _tnorm_fn, absolute_difference,
+from qfixpoint.fuzzy import (_AUDIT_ROWS, AUDIT_SLACK, T_RANGE, T_SAMPLES, FuzzyMetric,
+                             TNormKind, _grade, _tnorm_fn, absolute_difference,
                              audit_gv_axioms, audit_tnorm_axioms, audit_tnorm_ordering,
                              fuzzy_fixed_point, real_line_sampler)
+from qfixpoint.gaussian import GaussianState
 from qfixpoint.reports import AuditCheck, AxiomAuditReport
-from qfixpoint.solver import DEFAULT_REGION, AffineGaussianMap, apply_map
+from qfixpoint.solver import DEFAULT_REGION, AffineGaussianMap, apply_map, iterate_to_fixed_point
 
 unit = st.floats(0.0, 1.0)
 
@@ -145,60 +146,57 @@ def test_gv_axioms_deterministic_per_seed():
 
 # --------------------------------------------------------- fuzzy fixed point
 
+# the run each audit below is reported beside; the audit does not touch it
+TRACE = iterate_to_fixed_point(AffineGaussianMap(0.5, 0.0, 0.5, 0.5), GaussianState(4, 3))
+
+
+def _pair_distances(fm, f, pairs):
+    """The audit's inputs: d(x, y) and d(f(x), f(y)) per pair."""
+    return (np.array([fm.base_distance(x, y) for x, y in pairs], dtype=float),
+            np.array([fm.base_distance(f(x), f(y)) for x, y in pairs], dtype=float))
+
+
+def _line_pairs(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return [(real_line_sampler()(rng), real_line_sampler()(rng)) for _ in range(n)]
+
+
 def test_halving_map_condition_holds_with_equality():
-    report = fuzzy_fixed_point(LINE, lambda x: x / 2, 0.5, 8.0, 1e-12, 10000,
-                               point_sampler=real_line_sampler())
-    assert report.trace.converged
-    assert abs(report.trace.fixed_point) <= 1e-12
+    pairs = _line_pairs(200)
+    d, d_f = _pair_distances(LINE, lambda x: x / 2, pairs)
+    assert (d_f == 0.5 * d).all()
+    report = fuzzy_fixed_point(TRACE, d, d_f, 0.5, pairs.__getitem__)
+    assert report.trace is TRACE and report.k == 0.5
     assert report.condition.holds
     # scaling both distance and t by the same factor leaves t/(t+d) unchanged
     assert report.condition.max_abs_margin <= 1e-14
 
 
-def test_halving_map_trace_carries_the_banach_quantities():
-    # every iterate and step is a power of two, so each step ratio is exactly
-    # 1/2 and the a-priori bound k^n/(1-k) * step[0] = 8 * 2^-n is |x_n - 0|
-    trace = fuzzy_fixed_point(LINE, lambda x: x / 2, 0.5, 8.0, 1e-12, 10000,
-                              condition_pairs=[(0.0, 1.0)]).trace
-    assert trace.converged
-    assert trace.k_estimate == 0.5
-    assert len(trace.a_priori_bounds) == len(trace.iterates)
-    for x, bound in zip(trace.iterates, trace.a_priori_bounds):
-        assert abs(x - 0.0) <= bound
-
-
 def test_identity_map_violates_condition_but_iterates():
-    report = fuzzy_fixed_point(LINE, lambda x: x, 0.5, 3.0, 1e-12, 10,
-                               point_sampler=real_line_sampler())
-    assert report.trace.converged
-    assert report.trace.iterations_used == 1
-    assert report.trace.fixed_point == 3.0
+    pairs = _line_pairs(50)
+    d, d_f = _pair_distances(LINE, lambda x: x, pairs)
+    report = fuzzy_fixed_point(TRACE, d, d_f, 0.5, pairs.__getitem__)
     assert not report.condition.holds
     assert report.condition.violations > 0
-    assert report.condition.witness is not None
+    # the witness names its pair through pair_at, and the run is reported as given
+    assert (report.condition.witness["x"], report.condition.witness["y"]) in pairs
+    assert report.trace is TRACE and TRACE.converged
 
 
 def test_fuzzy_fixed_point_validates_k():
-    for bad in (0.0, 1.0, -0.3, 1.7):
+    d = np.array([1.0, 2.0])
+    for bad in (0.0, 1.0, -0.3, 1.7, math.nan):
         with pytest.raises(ValueError, match=r"k must lie in \(0, 1\)"):
-            fuzzy_fixed_point(LINE, lambda x: x / 2, bad, 1.0,
-                              point_sampler=real_line_sampler())
-
-
-def test_fuzzy_fixed_point_needs_pairs_or_sampler():
-    with pytest.raises(ValueError, match="condition_pairs or a point_sampler"):
-        fuzzy_fixed_point(LINE, lambda x: x / 2, 0.5, 1.0)
+            fuzzy_fixed_point(TRACE, d, d / 2, bad, lambda i: (i, i))
 
 
 @pytest.mark.parametrize("inputs", [
-    {"condition_pairs": []},
-    {"point_sampler": real_line_sampler(), "pair_samples": 0},
-    {"condition_pairs": [(0.0, 1.0)], "t_samples": 0},
-], ids=["no-condition-pairs", "no-pair-samples", "no-t-samples"])
+    {"d": np.array([]), "d_f": np.array([])},
+], ids=["no-condition-pairs"])
 def test_fuzzy_fixed_point_rejects_an_empty_condition_audit(inputs):
     # an audit of no sample would report holds=True with min_margin=inf
-    with pytest.raises(ValueError, match="at least one pair and one t value"):
-        fuzzy_fixed_point(LINE, lambda x: x / 2, 0.5, 1.0, **inputs)
+    with pytest.raises(ValueError, match="at least one pair"):
+        fuzzy_fixed_point(TRACE, k=0.5, pair_at=lambda i: (i, i), **inputs)
 
 
 def test_samplers_draw_from_their_fixed_ranges():
@@ -212,24 +210,23 @@ def test_samplers_draw_from_their_fixed_ranges():
 
 
 def test_fuzzy_fixed_point_budget_exhaustion():
-    report = fuzzy_fixed_point(LINE, lambda x: 0.99999 * x, 0.99999, 100.0,
-                               1e-12, 10, point_sampler=real_line_sampler())
-    assert not report.trace.converged
-    assert report.trace.iterations_used == 10
+    # a run that exhausted its budget is reported as it is, and still audited
+    slow = iterate_to_fixed_point(AffineGaussianMap(0.99999, 0.0, 0.5, 0.5),
+                                  GaussianState(4, 3), max_iterations=10)
+    pairs = _line_pairs(20)
+    report = fuzzy_fixed_point(slow, *_pair_distances(LINE, lambda x: x / 2, pairs), 0.6,
+                               pairs.__getitem__)
+    assert report.trace is slow
+    assert not report.trace.converged and report.trace.iterations_used == 10
+    assert report.condition.holds and report.condition.samples == 20 * T_SAMPLES
 
 
 def test_fuzzy_fixed_point_accepts_explicit_pairs():
     pairs = [(0.0, 1.0), (2.0, -3.0), (5.0, 5.0)]
-    report = fuzzy_fixed_point(LINE, lambda x: x / 2, 0.5, 4.0,
-                               condition_pairs=pairs, t_samples=5)
-    assert report.condition.samples == len(pairs) * 5
+    report = fuzzy_fixed_point(TRACE, *_pair_distances(LINE, lambda x: x / 2, pairs), 0.5,
+                               pairs.__getitem__)
+    assert report.condition.samples == len(pairs) * T_SAMPLES
     assert report.condition.holds
-
-
-def test_fuzzy_fixed_point_rejects_nan_tolerance():
-    with pytest.raises(ValueError, match="tolerance must be positive"):
-        fuzzy_fixed_point(LINE, lambda x: x / 2, 0.5, 1.0, math.nan,
-                          point_sampler=real_line_sampler())
 
 
 # ------------------------------------------ scalar reference implementations
@@ -248,19 +245,17 @@ def _scalar_membership(fm, x, y, t):
     return t / (t + d)
 
 
-def _scalar_condition(fm, f, k, condition_pairs, t_samples, rng):
+def _scalar_condition(d, d_f, k, pairs, rng):
     samples = 0
     violations = 0
     min_margin = math.inf
     max_abs = 0.0
     witness = None
-    for x, y in condition_pairs:
-        fx, fy = f(x), f(y)
-        tvals = 10.0 ** rng.uniform(math.log10(T_RANGE[0]), math.log10(T_RANGE[1]), t_samples)
+    for (x, y), dxy, dfxy in zip(pairs, d.tolist(), d_f.tolist()):
+        tvals = 10.0 ** rng.uniform(math.log10(T_RANGE[0]), math.log10(T_RANGE[1]), T_SAMPLES)
         for t in tvals:
             t = float(t)
-            margin = (_scalar_membership(fm, fx, fy, k * t)
-                      - _scalar_membership(fm, x, y, t))
+            margin = k * t / (k * t + dfxy) - t / (t + dxy)
             samples += 1
             min_margin = min(min_margin, margin)
             max_abs = max(max_abs, abs(margin))
@@ -384,17 +379,15 @@ MAP = AffineGaussianMap(0.2, 0.4, 0.2, 0.7)  # sampled contraction factor about 
      lambda x: x / 2, 0.3, real_line_sampler(), False),
 ])
 def test_condition_audit_equals_scalar_loop(fm, f, k, sampler, holds):
-    start = sampler(np.random.default_rng(99))
-    report = fuzzy_fixed_point(fm, f, k, start, 1e-12, 5, point_sampler=sampler,
-                               pair_samples=150, t_samples=11, rng_seed=3)
     rng = np.random.default_rng(3)
     pairs = [(sampler(rng), sampler(rng)) for _ in range(150)]
+    d, d_f = _pair_distances(fm, f, pairs)
+    c = fuzzy_fixed_point(TRACE, d, d_f, k, pairs.__getitem__, rng_seed=3).condition
     samples, violations, min_margin, max_abs, witness = _scalar_condition(
-        fm, f, k, pairs, 11, rng)
-    c = report.condition
+        d, d_f, k, pairs, np.random.default_rng(3))
     assert c.holds is holds
     assert (violations > 0) is not holds
-    assert c.samples == samples == 150 * 11
+    assert c.samples == samples == 150 * T_SAMPLES
     assert c.violations == violations
     assert c.min_margin == min_margin
     assert c.max_abs_margin == max_abs
@@ -402,11 +395,12 @@ def test_condition_audit_equals_scalar_loop(fm, f, k, sampler, holds):
 
 
 @pytest.mark.parametrize("t_samples, pairs", [
-    (16, _AUDIT_BLOCK // 16 - 1), (16, _AUDIT_BLOCK // 16), (16, _AUDIT_BLOCK // 16 + 1),
-    (16, 2 * (_AUDIT_BLOCK // 16) + 3), (7, 2 * (_AUDIT_BLOCK // 7) + 3),
+    (T_SAMPLES, _AUDIT_ROWS - 1), (T_SAMPLES, _AUDIT_ROWS), (T_SAMPLES, _AUDIT_ROWS + 1),
+    (T_SAMPLES, 2 * _AUDIT_ROWS + 3),
 ])
 def test_blocked_condition_audit_equals_scalar_loop(t_samples, pairs):
-    rows = _AUDIT_BLOCK // t_samples  # pairs per block
+    rows = _AUDIT_ROWS  # pairs per block
+    assert rows * t_samples == 8192
     # pair i starts at x = i; f halves the first block's distances (the
     # condition holds at k = 0.6) and triples the later ones, so the first
     # violation is the second block's first pair; d(x, y) is NaN from the
@@ -416,9 +410,9 @@ def test_blocked_condition_audit_equals_scalar_loop(t_samples, pairs):
     fm = FuzzyMetric(base_distance=lambda x, y: math.nan if x > 2 * rows + 0.5 else abs(x - y))
     gaps = np.random.default_rng(5).uniform(0.01, 0.5, pairs)
     condition_pairs = [(float(i), i + float(g)) for i, g in enumerate(gaps)]
-    c = fuzzy_fixed_point(fm, f, 0.6, 0.0, 1e-12, 5, condition_pairs=condition_pairs,
-                          t_samples=t_samples, rng_seed=3).condition
-    want = _scalar_condition(fm, f, 0.6, condition_pairs, t_samples, np.random.default_rng(3))
+    d, d_f = _pair_distances(fm, f, condition_pairs)
+    c = fuzzy_fixed_point(TRACE, d, d_f, 0.6, condition_pairs.__getitem__, rng_seed=3).condition
+    want = _scalar_condition(d, d_f, 0.6, condition_pairs, np.random.default_rng(3))
     assert (c.samples, c.violations, c.min_margin, c.max_abs_margin, c.witness) == want
     assert c.holds is (pairs <= rows)
     if pairs > rows:
@@ -430,10 +424,10 @@ def test_condition_audit_memory_does_not_grow_with_pair_count():
     for pairs in (2000, 20000):
         d = np.random.default_rng(1).uniform(0.0, 1.0, pairs)
         d_f = d / 2  # violates the condition at k = 0.3, so a witness is built
-        _condition_audit(d, d_f, 0.3, np.random.default_rng(0), lambda i: (i, i))
+        fuzzy_fixed_point(TRACE, d, d_f, 0.3, lambda i: (i, i))
         tracemalloc.start()
         try:
-            _condition_audit(d, d_f, 0.3, np.random.default_rng(0), lambda i: (i, i))
+            fuzzy_fixed_point(TRACE, d, d_f, 0.3, lambda i: (i, i))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -441,7 +435,7 @@ def test_condition_audit_memory_does_not_grow_with_pair_count():
     # the peak is a few block-sized temporaries, about 330 KiB; grading all
     # pairs at once takes about 0.5 KiB per pair, 10 MiB at 20,000 pairs
     assert peaks[1] <= 1.05 * peaks[0]
-    assert peaks[0] < 8 * 8 * _AUDIT_BLOCK
+    assert peaks[0] < 8 * 8 * _AUDIT_ROWS * T_SAMPLES
 
 
 def _asymmetric(x, y):
@@ -478,15 +472,6 @@ def test_gv_audit_equals_scalar_loop(fm, sampler, failing, points, t_samples, se
 
 # --------------------------------------------------- base-distance call counts
 
-def test_condition_audit_calls_base_distance_once_per_pair():
-    calls, fm = _counting(absolute_difference)
-    pairs = [(float(a), float(a) + 3.0) for a in range(40)]
-    report = fuzzy_fixed_point(fm, lambda x: x / 2, 0.5, 8.0, 1e-12, 10000,
-                               condition_pairs=pairs, t_samples=16)
-    assert report.trace.converged
-    assert len(calls) == 2 * len(pairs) + report.trace.iterations_used
-
-
 def test_gv_audit_call_count_does_not_depend_on_t_samples():
     counts = []
     for t_samples in (5, 16):
@@ -498,7 +483,5 @@ def test_gv_audit_call_count_does_not_depend_on_t_samples():
 
 def test_negative_base_distance_still_rejected():
     fm = FuzzyMetric(base_distance=lambda x, y: -abs(x - y) - 1.0)
-    with pytest.raises(ValueError, match="negative"):
-        fuzzy_fixed_point(fm, lambda x: x / 2, 0.5, 1.0, point_sampler=real_line_sampler())
     with pytest.raises(ValueError, match="negative"):
         audit_gv_axioms(fm, real_line_sampler(), 16, 8)

@@ -348,13 +348,22 @@ def test_distance_monotone_in_separation():
     assert all(x < y for x, y in zip(vals, vals[1:]))
 
 
+def _distance_or_unresolved(a, b):
+    """state_distance, or 0.0 where it refuses distinct states closer than it resolves."""
+    try:
+        return state_distance(a, b)
+    except ValueError:
+        assert a != b and max(abs(a.mu - b.mu), abs(a.sigma - b.sigma)) < 1e-140
+        return 0.0
+
+
 @settings(max_examples=100)
 @given(states, states, states)
 def test_distance_metric_properties(a, b, c):
-    d_ab = state_distance(a, b)
-    assert d_ab == state_distance(b, a)
+    d_ab = _distance_or_unresolved(a, b)
+    assert d_ab == _distance_or_unresolved(b, a)
     assert 0.0 <= d_ab <= math.sqrt(2)
-    assert state_distance(a, c) <= d_ab + state_distance(b, c) + 1e-12
+    assert _distance_or_unresolved(a, c) <= d_ab + _distance_or_unresolved(b, c) + 1e-12
 
 
 def test_distance_matches_vectorized_form():
@@ -405,6 +414,55 @@ def test_vectorized_distance_refuses_overflow_like_the_scalar_one(a, b):
         warnings.simplefilter("error")
         with pytest.raises(OverflowError):
             distance_from_params(mu1, sg1, mu2, sg2)
+
+
+# distinct states whose centre or width difference squares below the normal
+# range: the distance came out 0 (7.07e-171, 1.57e-16 and 7.1e-201 true) or
+# 5.6e-6 relative off (7.07e-161 true)
+UNRESOLVED = [
+    ((0.0, 1.0), (1e-170, 1.0)),
+    ((0.0, 1.0), (1e-160, 1.0)),
+    # at unit scale the same relative width difference gives about 1.57e-16
+    ((0.0, 1e-150), (0.0, 1e-150 * (1 + 2**-52))),
+    ((0.0, 1e100), (1e-100, 1e100)),
+]
+
+
+@pytest.mark.parametrize("a, b", UNRESOLVED)
+def test_distance_refuses_states_too_close_to_resolve(a, b):
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="too close to resolve"):
+            state_distance(GaussianState(*x), GaussianState(*y))
+        # the refused pair among ordinary ones
+        mu1, sg1, mu2, sg2 = (np.array([1.0, v, 2.0]) for v in (*x, *y))
+        with pytest.raises(ValueError, match="too close to resolve"):
+            distance_from_params(mu1, sg1, mu2, sg2)
+
+
+@pytest.mark.parametrize("a, b", [
+    # separations whose squares, u and v stay normal
+    ((0.0, 1.0), (1e-150, 1.0)),
+    ((0.0, 1.0), (4e-154, 1.0)),
+    ((0.0, 1e-150), (0.0, 2e-150)),
+    # the centres' term underflows but is negligible against the widths' term,
+    # as when an iteration's centre reaches 0 while its width still converges
+    ((1e-310, 1.0), (0.0, 1.0 + 2**-40)),
+    ((0.0, 3.0), (5e-324, 3.0 + 2**-30)),
+])
+def test_distance_keeps_resolved_pairs_and_identical_ones(a, b):
+    mpmath = pytest.importorskip("mpmath")
+    # 2 - 2<a|b> cancels about 2*log10(1/d) digits, 340 here at most
+    with mpmath.workdps(400):
+        ma, sa, mb, sb = map(mpmath.mpf, (*a, *b))
+        ss = sa * sa + sb * sb
+        overlap = mpmath.sqrt(2 * sa * sb / ss) * mpmath.exp(-(ma - mb) ** 2 / (2 * ss))
+        ref = float(mpmath.sqrt(2 - 2 * overlap))
+    vectorized = distance_from_params(*(np.array([v]) for v in (*a, *b)))[0]
+    for got in (state_distance(GaussianState(*a), GaussianState(*b)), vectorized):
+        assert abs(got - ref) <= DISTANCE_ULPS * math.ulp(ref)
+    for s in (a, b):
+        assert state_distance(GaussianState(*s), GaussianState(*s)) == 0.0
+        assert distance_from_params(*(np.array([v]) for v in (*s, *s)))[0] == 0.0
 
 
 # ----------------------------------------------------- oracle grid and audit
