@@ -198,8 +198,7 @@ def _run_audits(args):
     """Returns (inputs, {name: AxiomAuditReport})."""
     if args.target == "tnorm":
         kinds = [k.value for k in TNormKind] if args.kind == "all" else [args.kind]
-        reports = {kind: audit_tnorm_axioms(TNormKind(kind), args.resolution)
-                   for kind in kinds}
+        reports = {kind: audit_tnorm_axioms(kind, args.resolution) for kind in kinds}
         if args.kind == "all":
             reports["ordering"] = audit_tnorm_ordering(args.resolution)
         inputs = {"target": args.target, "kind": args.kind,
@@ -224,8 +223,7 @@ def _run_audits(args):
         start = _parse(args.start, "--start", GaussianState)
         run = iterate_to_fixed_point(m, start, args.tol, args.max_iter)
         if not run.converged:
-            raise NotConvergedError("iteration did not converge; no bounds to verify",
-                                    report=run)
+            raise NotConvergedError("iteration did not converge; no bounds to verify")
         k = run.k_estimate if args.k is None else args.k
         if args.k is None and not 0.0 <= k < 1.0:
             raise CliError(f"--k was not given and the trace's k_estimate {k:.17g} is "
@@ -341,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="run axiom/bound audits")
     p.add_argument("--target", required=True,
                    choices=("tnorm", "gv", "metric-axioms", "banach-bounds"))
-    p.add_argument("--kind", choices=("minimum", "product", "lukasiewicz", "all"),
+    p.add_argument("--kind", choices=(*(k.value for k in TNormKind), "all"),
                    default="all")
     p.add_argument("--resolution", type=int, default=21)
     p.add_argument("--carrier", choices=("line", "gaussian"), default="line")
@@ -407,7 +405,7 @@ def main(argv=None) -> int:
               "magnitudes", file=sys.stderr)
         return EXIT_INVALID
     except ZeroDivisionError:
-        # widths so small that the sum of their squares underflows to zero
+        # widths so small that their product or the sum of their squares is subnormal
         print("error: the inputs underflow double-precision arithmetic; use larger "
               "widths", file=sys.stderr)
         return EXIT_INVALID

@@ -60,7 +60,7 @@ def interference_excess_quadrature(a: GaussianState, b: GaussianState,
     The Simpson rule is linear, so S[(psi_a + psi_b)**2] - S[psi_a**2]
     - S[psi_b**2] = 2*S[psi_a*psi_b].  Window, swap symmetry, the 0.0 where
     windows do not meet and the refusals are overlap_quadrature_many's: for
-    equal widths, sigma from about 1.2e-77 to 6.5e76 (was any normal sigma**2).
+    equal widths, sigma from about 1.2e-77 to 6.5e76.
     """
     return 2.0 * overlap_quadrature(a, b, cfg)
 
@@ -109,7 +109,7 @@ def build_feature_report(m: AffineGaussianMap, start: GaussianState,
     """
     quantum = iterate_to_fixed_point(m, start, tolerance, max_iterations)
     if not quantum.converged:
-        raise NotConvergedError("quantum iteration did not converge", report=quantum)
+        raise NotConvergedError("quantum iteration did not converge")
 
     (mu1, sg1, mu2, sg2), d, d_f, k_raw = _estimator_sample(m, DEFAULT_REGION, 2000, rng_seed)
     # the condition requires k strictly inside (0, 1); the constant map

@@ -120,9 +120,12 @@ def overlap_closed_form(a: GaussianState, b: GaussianState) -> float:
     """Inner product <a|b> of two normalized Gaussian states.
 
     Symmetric, in [0, 1] and 1 for coinciding parameter pairs; it rounds to 1 for pairs
-    about 1e-8 widths apart too, and to 0.0 as for (0, 1) and (100, 1).
+    about 1e-8 widths apart too, and to 0.0 as for (0, 1) and (100, 1).  Raises
+    ZeroDivisionError where sigma_a*sigma_b is below the smallest normal double.
     """
     dmu2, ss = _squares(a, b)
+    if a.sigma * b.sigma < sys.float_info.min:
+        raise ZeroDivisionError("sigma_a*sigma_b underflows")
     # grouping keeps the result bitwise symmetric under argument swap
     pref = math.sqrt(2.0 * (a.sigma * b.sigma) / ss)
     return pref * math.exp(-dmu2 / (2.0 * ss))
@@ -183,12 +186,10 @@ def overlap_quadrature_many(mu1, sigma1, mu2, sigma2,
     Same rule as :func:`overlap_quadrature`.  The four inputs must be finite
     1-D arrays (or scalars) of one common size, with every sigma > 0; raises
     ZeroDivisionError where (sigma1*sigma2)**2 is below the smallest normal
-    double and OverflowError where pi**2*(sigma1*sigma2)**2 is infinite.  By
-    linearity the interference excess S[(psi_1 + psi_2)**2] - S[psi_1**2]
-    - S[psi_2**2] equals 2*S[psi_1*psi_2].  The exponent
-    -(z_1**2 + z_2**2)/2 is one quadratic (A*t + B)*t + C in the centred node
-    offset t, so near the integrand's peak no large terms cancel.  Pairs
-    whose windows meet are evaluated in chunks of
+    double and OverflowError where pi**2*(sigma1*sigma2)**2 is infinite.  The
+    exponent -(z_1**2 + z_2**2)/2 is one quadratic (A*t + B)*t + C in the
+    centred node offset t, so near the integrand's peak no large terms cancel.
+    Pairs whose windows meet are evaluated in chunks of
     ``max(1, _NODE_BUDGET // (2*panels + 1))`` rows, so the work buffer holds
     at most ``_NODE_BUDGET`` doubles (512 KiB) and stays in a per-core L2
     cache.
@@ -295,33 +296,42 @@ def state_distance(a: GaussianState, b: GaussianState) -> float:
     to a few ulps down to distances far below sqrt(machine epsilon) and at width
     ratios up to 1e8; the naive 2 - 2*overlap cannot resolve below ~1e-8.
     Zero exactly iff the parameter pairs are identical: raises ValueError where
-    squared differences underflow and d would lose digits or come out 0, and
-    OverflowError where (mu_a - mu_b)**2 or 2*(sigma_a**2 + sigma_b**2) overflows.
+    squared differences underflow and d would lose digits or come out 0,
+    ZeroDivisionError where ss = sigma_a**2 + sigma_b**2 is below the smallest
+    normal double, and OverflowError where (mu_a - mu_b)**2 or 2*ss overflows.
     """
     dmu2, ss = _squares(a, b)
     d = _distance(math, dmu2, a.sigma - b.sigma, a.sigma * b.sigma, ss)
-    # d*d*min(ss, 1.0) as two comparisons, which cost less than the call of min
-    if (d * d < _RESOLVED_SQ or d * d * ss < _RESOLVED_SQ) and _lost(
-            a.mu - b.mu, a.sigma - b.sigma, ss):
-        raise ValueError("the states are too close to resolve in double precision")
+    # d*d*min(ss, 1.0) as two comparisons, which cost less than the call of min;
+    # d*d < 2.1, so every pair whose ss is subnormal takes this branch
+    if d * d < _RESOLVED_SQ or d * d * ss < _RESOLVED_SQ:
+        if ss < sys.float_info.min:
+            raise ZeroDivisionError("sigma_a**2 + sigma_b**2 underflows")
+        if _lost(a.mu - b.mu, a.sigma - b.sigma, ss):
+            raise ValueError("the states are too close to resolve in double precision")
     return d
 
 
 def distance_from_params(mu1, sigma1, mu2, sigma2):
     """Vectorized :func:`state_distance` on raw parameter arrays.
 
-    Raises OverflowError and ValueError where :func:`state_distance` does.
+    Raises OverflowError, ZeroDivisionError and ValueError where :func:`state_distance` does.
     """
     import numpy as np
+    # u = dmu2/(2*ss) overflows for far-apart narrow states, and expm1(-inf) = -1 is exact
     with np.errstate(over="ignore"):
         dmu2 = (mu1 - mu2) ** 2
         ss = sigma1 * sigma1 + sigma2 * sigma2
         if dmu2.max() == math.inf or 2.0 * ss.max() == math.inf:
             raise OverflowError("(mu1 - mu2)**2 or 2*(sigma1**2 + sigma2**2) overflows")
-    d = _distance(np, dmu2, sigma1 - sigma2, sigma1 * sigma2, ss)
-    suspect = d * d * np.minimum(ss, 1.0) < _RESOLVED_SQ
-    if suspect.any() and (suspect & _lost(mu1 - mu2, sigma1 - sigma2, ss)).any():
-        raise ValueError("the states are too close to resolve in double precision")
+        if ss.min() < sys.float_info.min:
+            raise ZeroDivisionError("sigma1**2 + sigma2**2 underflows")
+        d = _distance(np, dmu2, sigma1 - sigma2, sigma1 * sigma2, ss)
+        suspect = d * d * np.minimum(ss, 1.0) < _RESOLVED_SQ
+        if suspect.any():  # identical pairs, as in audit_metric_axioms's d_self, are never lost
+            i = np.flatnonzero(suspect & ((mu1 != mu2) | (sigma1 != sigma2)))
+            if _lost(mu1[i] - mu2[i], sigma1[i] - sigma2[i], ss[i]).any():
+                raise ValueError("the states are too close to resolve in double precision")
     return d
 
 

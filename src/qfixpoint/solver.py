@@ -45,10 +45,6 @@ DEFAULT_MAX_ITERATIONS = 10000
 class NotConvergedError(RuntimeError):
     """Iteration budget exhausted before the stopping tolerance was met."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class DegenerateRegionError(ValueError):
     """All sampled pairs were too close to form a contraction ratio."""
@@ -256,8 +252,7 @@ def verify_uniqueness(m: AffineGaussianMap, starts, tolerance: float = DEFAULT_T
         report = iterate_to_fixed_point(m, start, tolerance, max_iterations)
         if not report.converged:
             raise NotConvergedError(f"iteration from ({start.mu}, {start.sigma}) "
-                                    f"did not converge in {max_iterations} steps",
-                                    report=report)
+                                    f"did not converge in {max_iterations} steps")
         fixed_points.append(report.fixed_point)
 
     pairs = list(itertools.combinations(range(len(fixed_points)), 2))

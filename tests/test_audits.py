@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from qfixpoint import fuzzy
+from qfixpoint.fuzzy import (LOG_T_RANGE, FuzzyMetric, TNormKind, _tnorm_fn, audit_gv_axioms,
+                             audit_tnorm_axioms, audit_tnorm_ordering, real_line_sampler)
 from qfixpoint.gaussian import (SQRT2, GaussianState, ParameterBox, audit_metric_axioms,
                                distance_from_params, state_distance)
 from qfixpoint.reports import AuditCheck, AxiomAuditReport, check
@@ -38,7 +43,8 @@ def test_check_witnesses_the_first_failure_in_row_major_order():
 #
 # The audits as they were before they took their witnesses from failure
 # masks, kept verbatim apart from the report's passed= argument, which the
-# report now derives from its checks.
+# report now derives from its checks, and NotConvergedError's report=, which
+# the exception no longer takes.
 
 def _reference_banach_bounds(report, k, slack=1e-12):
     if not 0.0 <= k < 1.0:
@@ -86,8 +92,7 @@ def _reference_uniqueness(m, starts, tolerance=DEFAULT_TOLERANCE,
         report = iterate_to_fixed_point(m, start, tolerance, max_iterations)
         if not report.converged:
             raise NotConvergedError(f"iteration from ({start.mu}, {start.sigma}) "
-                                    f"did not converge in {max_iterations} steps",
-                                    report=report)
+                                    f"did not converge in {max_iterations} steps")
         fixed_points.append(report.fixed_point)
 
     threshold = 10.0 * tolerance
@@ -228,3 +233,132 @@ def test_metric_axioms_equal_the_reference(slack, samples, seed, ranges):
     audit = audit_metric_axioms(samples, seed, triangle_slack=slack, **box)
     assert audit == _reference_metric_axioms(samples, seed, triangle_slack=slack, **ranges)
     assert audit.passed is (slack >= 0.0)
+
+
+# ------------------------------------------------------- one witness rule
+#
+# Each case forces a failure in one audit and recomputes, by a scalar loop,
+# the failure mask of the checks it names: {check name: (mask, witness_at)},
+# where witness_at(*index) gives the witness entries at that index.
+
+SLACK = 1e-12
+
+
+def _grid_masks(op, n):
+    g = [float(v) for v in np.linspace(0.0, 1.0, n)]
+    r = range(n)
+
+    def at(*idx):
+        return dict(zip("xyz", (g[i] for i in idx)))
+    return {
+        "commutativity": ([[not abs(op(g[i], g[j]) - op(g[j], g[i])) <= SLACK for j in r]
+                           for i in r], at),
+        "associativity": ([[[not abs(op(g[i], op(g[j], g[k])) - op(op(g[i], g[j]), g[k]))
+                              <= SLACK for k in r] for j in r] for i in r], at),
+        "monotonicity": ([[not op(g[i], g[j + 1]) - op(g[i], g[j]) >= -SLACK
+                           for j in range(n - 1)] for i in r],
+                         lambda i, j: {"x": g[i], "y": g[j], "z": g[j + 1]}),
+        "identity_element": ([not abs(op(g[i], 1.0) - g[i]) <= SLACK for i in r], at),
+    }
+
+
+def _broken_tnorm_case(op):
+    def case(monkeypatch):
+        return audit_tnorm_axioms(op, 7), _grid_masks(op, 7)
+    return case
+
+
+def _broken_ordering_case(monkeypatch):
+    # the geometric mean in place of the product lies above the minimum off the diagonal
+    def broken(kind):
+        return (lambda a, b: np.sqrt(a * b)) if kind == TNormKind.PRODUCT else _tnorm_fn(kind)
+    monkeypatch.setattr(fuzzy, "_tnorm_fn", broken)
+    g = [float(v) for v in np.linspace(0.0, 1.0, 9)]
+    luk, prod = (lambda a, b: max(0.0, a + b - 1.0)), (lambda a, b: math.sqrt(a * b))
+
+    def at(i, j):
+        return {"x": g[i], "y": g[j]}
+    return audit_tnorm_ordering(9), {
+        "lukasiewicz_le_product": ([[not luk(a, b) - prod(a, b) <= SLACK for b in g] for a in g],
+                                   at),
+        "product_le_minimum": ([[not prod(a, b) - min(a, b) <= SLACK for b in g] for a in g], at),
+    }
+
+
+def _gv_case(monkeypatch):
+    # the squared distance breaks the triangle inequality, and under the minimum
+    # t-norm the induced membership breaks the t-norm triangle axiom
+    fm = FuzzyMetric(base_distance=lambda x, y: (x - y) ** 2, tnorm=TNormKind.MINIMUM)
+    n = 64
+    # the audit's draws, in its order
+    rng = np.random.default_rng(0)
+    pts = [real_line_sampler()(rng) for _ in range(n)]
+    rng.uniform(*LOG_T_RANGE, 8)
+    tri = rng.integers(0, n, size=(n, 3))
+    t, s = (10.0 ** rng.uniform(*LOG_T_RANGE, (n, 2))).T
+    d = fm.base_distance
+    failed = []
+    for (x, y, z), ti, si in zip(([pts[i] for i in row] for row in tri), t, s):
+        lhs = min(ti / (ti + d(x, y)), si / (si + d(y, z)))
+        failed.append(lhs > (ti + si) / (ti + si + d(x, z)) + SLACK)
+    return audit_gv_axioms(fm, real_line_sampler(), n, 8, rng_seed=0), {
+        "tnorm_triangle": (failed, lambda i: dict(zip("xyz", (pts[j] for j in tri[i]))))}
+
+
+def _metric_case(monkeypatch):
+    # nearby states, so that some triangles come within 1e-3 of equality; the
+    # first is sample 9
+    box = ParameterBox(0.0, 0.1, 1.0, 1.1)
+    mu, sg = box.sample(np.random.default_rng(9), (3, 2000))
+    states = [[GaussianState(m, s) for m, s in zip(mu[r], sg[r])] for r in range(3)]
+    d = {(p, q): [state_distance(a, b) for a, b in zip(states[p], states[q])]
+         for p, q in ((0, 1), (1, 2), (0, 2))}
+    excess = [ac - (ab + bc) for ab, bc, ac in zip(d[0, 1], d[1, 2], d[0, 2])]
+    return audit_metric_axioms(2000, 9, box, triangle_slack=-1e-3), {
+        "triangle_inequality": ([e > -1e-3 for e in excess],
+                                lambda i: {"d_ab": d[0, 1][i], "d_bc": d[1, 2][i],
+                                           "d_ac": d[0, 2][i]})}
+
+
+def _banach_case(monkeypatch):
+    trace = iterate_to_fixed_point(DEFAULT_MAPS[0], DEFAULT_STARTS[0])
+    k, s0 = 0.1, trace.step_distances[0]
+    dist = [state_distance(it, trace.fixed_point) for it in trace.iterates]
+    return verify_banach_bounds(trace, k), {
+        "geometric_step_bound": ([step > k**n * s0 + SLACK
+                                  for n, step in enumerate(trace.step_distances)],
+                                 lambda n: {"n": n}),
+        "geometric_tail_bound": ([x > k**n * (1.0 / (1.0 - k)) * s0 + SLACK
+                                  for n, x in enumerate(dist)], lambda n: {"n": n}),
+    }
+
+
+def _uniqueness_case(monkeypatch):
+    m, tolerance = MAPS[6], 1e-3
+    fps = [iterate_to_fixed_point(m, s, tolerance).fixed_point for s in DEFAULT_STARTS]
+    pairs = [(i, j) for i in range(len(fps)) for j in range(i + 1, len(fps))]
+    return verify_uniqueness(m, DEFAULT_STARTS, tolerance), {
+        "common_fixed_point": ([state_distance(fps[i], fps[j]) > 10 * tolerance
+                                for i, j in pairs],
+                               lambda p: {"start_i": pairs[p][0], "start_j": pairs[p][1]})}
+
+
+@pytest.mark.parametrize("case", [
+    _broken_tnorm_case(lambda a, b: a * a * b),
+    _broken_tnorm_case(lambda a, b: np.minimum(a, 1.0 - b)),
+    _broken_ordering_case, _gv_case, _metric_case, _banach_case, _uniqueness_case,
+], ids=["tnorm-squared", "tnorm-decreasing", "tnorm-ordering", "gv", "metric-axioms",
+        "banach-bounds", "uniqueness"])
+def test_a_failing_check_witnesses_its_first_failure_in_row_major_order(case, monkeypatch):
+    report, masks = case(monkeypatch)
+    assert not all(c.passed for c in report.checks if c.name in masks)
+    for c in report.checks:
+        if c.name not in masks:
+            continue
+        failed, witness_at = masks[c.name]
+        hits = np.argwhere(np.array(failed, dtype=bool))
+        assert c.passed is (len(hits) == 0), c.name
+        if len(hits):
+            want = witness_at(*(int(i) for i in hits[0]))
+            assert c.witness is not None, c.name
+            assert {key: c.witness[key] for key in want} == pytest.approx(want, rel=1e-12, abs=0)

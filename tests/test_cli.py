@@ -358,6 +358,13 @@ def test_states_too_close_to_resolve_exit_2(capsys, argv):
     # these used to print inf, and an overlap 3.8e-6 off, with exit 0
     ["distance", "--a", "0,1e-150", "--b", "0,1e-150", "--quadrature"],
     ["distance", "--a", "0,1e-80", "--b", "0,1e-80", "--quadrature"],
+    # sigma_a*sigma_b in the overlap prefactor is subnormal: this used to print an
+    # interference excess 4.9e-5 relative off, with exit 0
+    ["compare", "--probe-a", "0,3e-160", "--probe-b", "1e-159,1e-160"],
+    # sigma_a**2 + sigma_b**2 is subnormal: d = 0.4595 used to be refused as too
+    # close to resolve, and identical such states printed distance 0
+    ["distance", "--a", "0,1e-160", "--b", "0,2e-160"],
+    ["distance", "--a", "0,1e-160", "--b", "0,1e-160"],
 ])
 def test_underflowing_widths_exit_2(capsys, argv):
     code = main(argv)

@@ -70,6 +70,16 @@ def test_broken_operation_fails_commutativity_with_witness():
     assert failure.witness is not None and "abs_difference" in failure.witness
 
 
+def test_nan_operation_fails_every_grid_check_with_a_witness():
+    # NaN wherever x + y > 1.2, which each of the four checks reaches
+    def op(a, b):
+        return np.where(np.asarray(a) + b > 1.2, np.nan, np.minimum(a, b))
+    report = audit_tnorm_axioms(op, 11)
+    assert [c.name for c in _failures(report)] == [
+        "commutativity", "associativity", "monotonicity", "identity_element"]
+    assert all(c.witness is not None for c in report.checks)
+
+
 def test_tnorm_ordering_on_grid():
     report = audit_tnorm_ordering(21)
     assert report.passed
@@ -78,6 +88,8 @@ def test_tnorm_ordering_on_grid():
 def test_audit_rejects_small_grid():
     with pytest.raises(ValueError):
         audit_tnorm_axioms(TNormKind.PRODUCT, 4)
+    with pytest.raises(ValueError):
+        audit_tnorm_ordering(4)
 
 
 # --------------------------------------------------------------- membership
@@ -485,3 +497,4 @@ def test_negative_base_distance_still_rejected():
     fm = FuzzyMetric(base_distance=lambda x, y: -abs(x - y) - 1.0)
     with pytest.raises(ValueError, match="negative"):
         audit_gv_axioms(fm, real_line_sampler(), 16, 8)
+

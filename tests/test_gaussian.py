@@ -465,6 +465,66 @@ def test_distance_keeps_resolved_pairs_and_identical_ones(a, b):
         assert distance_from_params(*(np.array([v]) for v in (*s, *s)))[0] == 0.0
 
 
+@pytest.mark.parametrize("a, b", [
+    ((0.0, 1e-160), (0.0, 2e-160)),  # d = 0.4595, refused as too close to resolve
+    ((0.0, 1e-160), (0.0, 1e-160)),  # identical, distance 0
+    ((0.0, 3e-160), (1e-159, 1e-160)),
+    ((0.0, 1e-200), (0.0, 2e-200)),  # ss is 0
+])
+def test_subnormal_width_squares_are_refused(a, b):
+    # the prefactor's sigma_a*sigma_b and the distance's ss are subnormal
+    a, b = GaussianState(*a), GaussianState(*b)
+    with pytest.raises(ZeroDivisionError):
+        overlap_closed_form(a, b)
+    with pytest.raises(ZeroDivisionError):
+        state_distance(a, b)
+    with pytest.raises(ZeroDivisionError):
+        distance_from_params(*(np.array([1.0, v]) for v in (a.mu, a.sigma, b.mu, b.sigma)))
+
+
+def test_subnormal_width_product_with_normal_squares_is_kept():
+    # sigma_a*sigma_b = 1e-300 is normal although sigma_a**2 is not
+    a, b = GaussianState(0.0, 1e-160), GaussianState(0.0, 1e-140)
+    assert overlap_closed_form(a, b) == math.sqrt(2e-300 / (1e-320 + 1e-280))
+    assert state_distance(a, b) == distance_from_params(*(np.array([v]) for v in (
+        a.mu, a.sigma, b.mu, b.sigma)))[0]
+
+
+def test_vectorized_distance_saturates_far_narrow_states_without_warning():
+    # u = dmu**2/(2*ss) overflows to inf, where expm1(-u) = -1 is exact
+    a, b = (1e10, 1e-150), (0.0, 1e-150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = distance_from_params(*(np.array([v]) for v in (*a, *b)))[0]
+    assert got == state_distance(GaussianState(*a), GaussianState(*b)) == math.sqrt(2.0)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # a RuntimeWarning turned into an error lands here too
+        return type(exc)
+
+
+magnitudes = st.floats(-200.0, 200.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.just(0.0), magnitudes, magnitudes.map(lambda m: -m)), magnitudes,
+       st.integers(1, 60), st.sampled_from(["mu", "sigma", "both"]))
+def test_scalar_and_vectorized_distance_refuse_alike(mu, sigma, k, shifted):
+    a = (mu, sigma)
+    b = (mu * (1 + 2.0**-k) if shifted != "sigma" else mu,
+         sigma * (1 + 2.0**-k) if shifted != "mu" else sigma)
+    scalar = _outcome(lambda: state_distance(GaussianState(*a), GaussianState(*b)))
+    vectorized = _outcome(lambda: float(distance_from_params(
+        *(np.array([v]) for v in (*a, *b)))[0]))
+    if isinstance(scalar, float) and isinstance(vectorized, float):
+        assert abs(scalar - vectorized) <= 4 * math.ulp(max(scalar, vectorized))
+    else:
+        assert scalar == vectorized
+
+
 # ----------------------------------------------------- oracle grid and audit
 
 def test_oracle_equivalence_on_small_grid():
