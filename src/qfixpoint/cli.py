@@ -40,10 +40,6 @@ SIZE_LIMITS = {"--panels": 2**20, "--resolution": 101, "--samples": 10**6,
                "--points": 4096, "--t-samples": 1024, "--max-iter": 10**6}
 
 
-class CliError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------- rendering
 
 # keys and scalars repeat across a document, and json.dumps costs microseconds
@@ -118,7 +114,7 @@ def _render(args, command: str, inputs: dict, result: dict, rows, table: str) ->
             with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise CliError(f"--out: {exc}") from None
+            raise ValueError(f"--out: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -130,15 +126,15 @@ def _parse(text: str, flag: str, kind):
     parts = text.split(",")
     n = len(dataclasses.fields(kind))
     if len(parts) != n:
-        raise CliError(f"{flag}: expected {n} comma-separated numbers, got {text!r}")
+        raise ValueError(f"{flag}: expected {n} comma-separated numbers, got {text!r}")
     try:
         values = [float(p) for p in parts]
     except ValueError:
-        raise CliError(f"{flag}: not numeric: {text!r}") from None
+        raise ValueError(f"{flag}: not numeric: {text!r}") from None
     try:
         return kind(*values)
     except ValueError as exc:
-        raise CliError(f"{flag}: {exc}") from None
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 # ------------------------------------------------------------------ commands
@@ -149,7 +145,7 @@ def _cmd_distance(args) -> int:
     try:
         cfg = QuadratureConfig(args.half_width, args.panels)
     except ValueError as exc:
-        raise CliError(f"--half-width/--panels: {exc}") from None
+        raise ValueError(f"--half-width/--panels: {exc}") from None
 
     result = {"distance": state_distance(a, b),
               "overlap_closed_form": overlap_closed_form(a, b)}
@@ -226,12 +222,12 @@ def _run_audits(args):
             raise NotConvergedError("iteration did not converge; no bounds to verify")
         k = run.k_estimate if args.k is None else args.k
         if args.k is None and not 0.0 <= k < 1.0:
-            raise CliError(f"--k was not given and the trace's k_estimate {k:.17g} is "
+            raise ValueError(f"--k was not given and the trace's k_estimate {k:.17g} is "
                            "not in [0, 1); pass --k with 0 <= k < 1")
         try:
             reports = {"banach-bounds": verify_banach_bounds(run, k)}
         except ValueError as exc:
-            raise CliError(f"--k: {exc}") from None
+            raise ValueError(f"--k: {exc}") from None
         inputs = {"target": args.target, "map": m, "start": start, "tolerance": args.tol,
                   "max_iterations": args.max_iter, "k": k}
     return inputs, reports
@@ -272,7 +268,8 @@ def _cmd_compare(args) -> int:
                  "holds": c.holds}
     if c.witness is not None:
         condition["witness"] = c.witness
-    traces = {"quantum": report.quantum_report, "fuzzy": report.fuzzy_report.trace}
+    # under t/(t + d) the fuzzy contraction is the same Picard iteration: one trace
+    trace = report.quantum_report
     result = {
         "interference_excess_quantum": report.interference_excess_quantum,
         "interference_excess_fuzzy": report.interference_excess_fuzzy,
@@ -281,7 +278,7 @@ def _cmd_compare(args) -> int:
                    "iterations_used": trace.iterations_used,
                    "final_step_distance": trace.step_distances[-1],
                    "converged": trace.converged}
-            for name, trace in traces.items()},
+            for name in ("quantum", "fuzzy")},
         "agreement_distance": report.agreement_distance,
         "fuzzy_condition": condition,
         "notes": report.notes,
@@ -290,7 +287,7 @@ def _cmd_compare(args) -> int:
               "tolerance": args.tol, "max_iterations": args.max_iter,
               "rng_seed": args.seed}
 
-    q, f = (trace.fixed_point for trace in traces.values())
+    q = f = trace.fixed_point
     excess = [("interference_excess_quantum", report.interference_excess_quantum),
               ("interference_excess_fuzzy", report.interference_excess_fuzzy)]
     agreement = ("agreement_distance", report.agreement_distance)
@@ -384,23 +381,23 @@ def main(argv=None) -> int:
             if value is None:  # the subcommand has no such option
                 continue
             if value < SIZE_MINIMA.get(flag, value):
-                raise CliError(f"{flag}: must be at least {SIZE_MINIMA[flag]}")
+                raise ValueError(f"{flag}: must be at least {SIZE_MINIMA[flag]}")
             if value > limit:
-                raise CliError(f"{flag}: must be at most {limit}")
+                raise ValueError(f"{flag}: must be at most {limit}")
         if getattr(args, "seed", 0) < 0:
-            raise CliError("--seed: must be non-negative")
+            raise ValueError("--seed: must be non-negative")
         tol = getattr(args, "tol", DEFAULT_TOLERANCE)
         if not (tol > 0):
-            raise CliError("--tol: tolerance must be positive")
+            raise ValueError("--tol: tolerance must be positive")
         # no state distance exceeds sqrt(2), so such a tolerance passes every step
         if tol >= SQRT2:
-            raise CliError("--tol: tolerance must be below sqrt(2), the largest state distance")
+            raise ValueError("--tol: tolerance must be below sqrt(2), the largest state distance")
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OverflowError:
-        # finite inputs whose squared differences exceed the double range
+        # finite widths whose squares exceed the double range
         print("error: the inputs overflow double-precision arithmetic; use smaller "
               "magnitudes", file=sys.stderr)
         return EXIT_INVALID

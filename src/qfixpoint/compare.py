@@ -6,8 +6,8 @@ membership has no superposition operation and therefore no analogue.  Both
 frameworks are driven by the same affine map.  Under the induced membership
 M(x, y, t) = t/(t + d(x, y)) a fuzzy contraction in the state distance is
 iterated by the same Picard loop as the Banach one, so the two fixed points
-agree by construction; the fuzzy side's independent content is its audit of
-the contraction condition.
+agree by construction; the fuzzy side adds the audit of its contraction
+condition on the pairs that k is estimated on.
 """
 
 from dataclasses import dataclass
@@ -98,14 +98,13 @@ def build_feature_report(m: AffineGaussianMap, start: GaussianState,
     """Run the iteration once and assemble both frameworks' view of it.
 
     The fuzzy contraction in the state distance is the same Picard iteration
-    as the quantum one, so the fuzzy report holds the quantum trace itself
-    (``fuzzy_report.trace is quantum_report``) and ``agreement_distance`` is
-    0 by identity.  What the fuzzy side adds is fuzzy_fixed_point's condition
-    audit, on the 2000 pairs that estimate_contraction_factor draws from
-    DEFAULT_REGION with this seed: they are measured once, for ``k_estimate``
-    and for the audit's 16 t values per pair; states are built only for a
-    witness, and no base distance is called.  Raises NotConvergedError if the
-    iteration exhausts its budget.
+    as the quantum one, so ``quantum_report`` is the one trace of both and
+    ``agreement_distance`` is 0 by identity.  What the fuzzy side adds is
+    fuzzy_fixed_point's condition audit, on the 2000 pairs that
+    estimate_contraction_factor draws from DEFAULT_REGION with this seed:
+    they are measured once, for ``k_estimate`` and for the audit's 16 t values
+    per pair; states are built only for a witness, and no base distance is
+    called.  Raises NotConvergedError if the iteration exhausts its budget.
     """
     quantum = iterate_to_fixed_point(m, start, tolerance, max_iterations)
     if not quantum.converged:
@@ -115,7 +114,7 @@ def build_feature_report(m: AffineGaussianMap, start: GaussianState,
     # the condition requires k strictly inside (0, 1); the constant map
     # estimates k = 0, any positive factor below 1 certifies it
     k = min(max(k_raw, 1e-6), 1.0 - 1e-12)
-    fuzzy = fuzzy_fixed_point(quantum, d, d_f, k, lambda i: (
+    fuzzy = fuzzy_fixed_point(d, d_f, k, lambda i: (
         GaussianState(mu1[i], sg1[i]), GaussianState(mu2[i], sg2[i])), rng_seed)
 
     return FeatureReport(

@@ -13,7 +13,6 @@ from enum import Enum
 from typing import Any, Callable
 
 from .reports import AxiomAuditReport, _first, check
-from .solver import FixedPointReport
 
 __all__ = [
     "TNormKind",
@@ -230,16 +229,15 @@ class GSConditionAudit:
 
 @dataclass(frozen=True)
 class FuzzyFixedPointReport:
-    """Trace of the fuzzy contraction iteration plus its condition audit."""
+    """The factor k of the fuzzy contraction and its condition audit."""
 
-    trace: FixedPointReport
     k: float
     condition: GSConditionAudit
 
 
-def fuzzy_fixed_point(trace: FixedPointReport, d, d_f, k: float, pair_at: Callable,
+def fuzzy_fixed_point(d, d_f, k: float, pair_at: Callable,
                       rng_seed: int = 0) -> FuzzyFixedPointReport:
-    """Audit M(f(x), f(y), k*t) >= M(x, y, t) beside ``trace``, the Picard run in d.
+    """Audit M(f(x), f(y), k*t) >= M(x, y, t); the fixed point is the Picard one in d.
 
     ``d`` and ``d_f`` are 1-D arrays of d(x, y) and d(f(x), f(y)) per pair.
     Each pair gets T_SAMPLES t values, log-uniform over T_RANGE, drawn for
@@ -270,7 +268,7 @@ def fuzzy_fixed_point(trace: FixedPointReport, d, d_f, k: float, pair_at: Callab
         max_abs = np.fmax.reduce(np.abs(margin, out=margin), axis=None, initial=max_abs)
     condition = GSConditionAudit(d.size * T_SAMPLES, violations, float(min_margin),
                                  float(max_abs), witness, holds=violations == 0)
-    return FuzzyFixedPointReport(trace=trace, k=k, condition=condition)
+    return FuzzyFixedPointReport(k=k, condition=condition)
 
 
 def absolute_difference(x: float, y: float) -> float:

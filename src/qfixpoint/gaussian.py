@@ -249,19 +249,19 @@ def overlap_quadrature(a: GaussianState, b: GaussianState,
 
 
 def _squares(a: GaussianState, b: GaussianState) -> tuple[float, float]:
-    """(mu_a - mu_b)**2 and ss = sigma_a**2 + sigma_b**2, refused where either overflows.
+    """(mu_a - mu_b)**2 and ss = sigma_a**2 + sigma_b**2, refused where 2*ss overflows.
 
     Both closed forms divide the squared centre separation by 2*ss; at inf
     that exponent rounds to 0, and distinct states would come out at
-    distance 0 with overlap 1 or NaN.  Squares are products, as numpy's are:
-    Python's ``**`` goes through libm ``pow``, which can round differently.
+    distance 0 with overlap 1 or NaN; an infinite (mu_a - mu_b)**2 is exact
+    there, at overlap 0.  Squares are products, as numpy's are: Python's
+    ``**`` goes through libm ``pow``, which can round differently.
     """
     dmu = a.mu - b.mu
-    dmu2 = dmu * dmu
     ss = a.sigma * a.sigma + b.sigma * b.sigma
-    if dmu2 == math.inf or 2.0 * ss == math.inf:
-        raise OverflowError("(mu_a - mu_b)**2 or 2*(sigma_a**2 + sigma_b**2) overflows")
-    return dmu2, ss
+    if 2.0 * ss == math.inf:
+        raise OverflowError("2*(sigma_a**2 + sigma_b**2) overflows")
+    return dmu * dmu, ss
 
 
 def _distance(xp, dmu2, dsigma, sab, ss):
@@ -282,11 +282,13 @@ def _distance(xp, dmu2, dsigma, sab, ss):
 _RESOLVED_SQ = 2.0**55 * sys.float_info.min
 
 
-def _lost(dmu, dsigma, ss):
-    """Where a nonzero dmu or dsigma gives a square, u or v below the normal range."""
-    dmu2, dsigma2, tiny = dmu * dmu, dsigma * dsigma, sys.float_info.min
-    return ((dmu != 0.0) & ((dmu2 < tiny) | (dmu2 / (2.0 * ss) < tiny))
-            | (dsigma != 0.0) & ((dsigma2 < tiny) | (dsigma2 / ss < tiny)))
+def _near_distance(dmu, dsigma, sab, ss):
+    """:func:`_distance` of one pair from v = a**2 and u = b**2, squaring no difference."""
+    a, b = abs(dsigma) / math.sqrt(ss), abs(dmu) / math.sqrt(2.0 * ss)
+    p = math.sqrt(2.0 * sab / ss)
+    # sqrt(1 - exp(-b**2)) is b to rounding where b**2 < 1e-17
+    g = b if b * b < 1e-17 else math.sqrt(-math.expm1(-b * b))
+    return SQRT2 * math.hypot(a / math.sqrt(1.0 + p), math.sqrt(p) * g)
 
 
 def state_distance(a: GaussianState, b: GaussianState) -> float:
@@ -294,11 +296,11 @@ def state_distance(a: GaussianState, b: GaussianState) -> float:
 
     Evaluated through an algebraically equivalent cancellation-free form, exact
     to a few ulps down to distances far below sqrt(machine epsilon) and at width
-    ratios up to 1e8; the naive 2 - 2*overlap cannot resolve below ~1e-8.
-    Zero exactly iff the parameter pairs are identical: raises ValueError where
-    squared differences underflow and d would lose digits or come out 0,
-    ZeroDivisionError where ss = sigma_a**2 + sigma_b**2 is below the smallest
-    normal double, and OverflowError where (mu_a - mu_b)**2 or 2*ss overflows.
+    ratios up to 1e8; the naive 2 - 2*overlap cannot resolve below ~1e-8.  Where
+    a squared difference may leave the normal range it takes the scaled form of
+    :func:`_near_distance`.  Zero exactly iff the parameter pairs are identical.
+    Raises ZeroDivisionError where ss = sigma_a**2 + sigma_b**2 is below the
+    smallest normal double, and OverflowError where 2*ss overflows.
     """
     dmu2, ss = _squares(a, b)
     d = _distance(math, dmu2, a.sigma - b.sigma, a.sigma * b.sigma, ss)
@@ -307,31 +309,31 @@ def state_distance(a: GaussianState, b: GaussianState) -> float:
     if d * d < _RESOLVED_SQ or d * d * ss < _RESOLVED_SQ:
         if ss < sys.float_info.min:
             raise ZeroDivisionError("sigma_a**2 + sigma_b**2 underflows")
-        if _lost(a.mu - b.mu, a.sigma - b.sigma, ss):
-            raise ValueError("the states are too close to resolve in double precision")
+        return _near_distance(a.mu - b.mu, a.sigma - b.sigma, a.sigma * b.sigma, ss)
     return d
 
 
 def distance_from_params(mu1, sigma1, mu2, sigma2):
     """Vectorized :func:`state_distance` on raw parameter arrays.
 
-    Raises OverflowError, ZeroDivisionError and ValueError where :func:`state_distance` does.
+    Raises where :func:`state_distance` does, and gives the distinct pairs it
+    suspects the same :func:`_near_distance` call, so both paths agree bitwise there.
     """
     import numpy as np
-    # u = dmu2/(2*ss) overflows for far-apart narrow states, and expm1(-inf) = -1 is exact
+    # (mu1 - mu2)**2 and u overflow for far-apart states, where expm1(-inf) = -1 is exact
     with np.errstate(over="ignore"):
         dmu2 = (mu1 - mu2) ** 2
         ss = sigma1 * sigma1 + sigma2 * sigma2
-        if dmu2.max() == math.inf or 2.0 * ss.max() == math.inf:
-            raise OverflowError("(mu1 - mu2)**2 or 2*(sigma1**2 + sigma2**2) overflows")
+        if 2.0 * ss.max() == math.inf:
+            raise OverflowError("2*(sigma1**2 + sigma2**2) overflows")
         if ss.min() < sys.float_info.min:
             raise ZeroDivisionError("sigma1**2 + sigma2**2 underflows")
         d = _distance(np, dmu2, sigma1 - sigma2, sigma1 * sigma2, ss)
         suspect = d * d * np.minimum(ss, 1.0) < _RESOLVED_SQ
-        if suspect.any():  # identical pairs, as in audit_metric_axioms's d_self, are never lost
+        if suspect.any():  # identical pairs, as in audit_metric_axioms's d_self, stay at 0
             i = np.flatnonzero(suspect & ((mu1 != mu2) | (sigma1 != sigma2)))
-            if _lost(mu1[i] - mu2[i], sigma1[i] - sigma2[i], ss[i]).any():
-                raise ValueError("the states are too close to resolve in double precision")
+            args = (mu1[i] - mu2[i], sigma1[i] - sigma2[i], sigma1[i] * sigma2[i], ss[i])
+            d[i] = list(map(_near_distance, *(x.tolist() for x in args)))
     return d
 
 

@@ -20,7 +20,6 @@ __all__ = [
     "AffineGaussianMap",
     "FixedPointReport",
     "NotConvergedError",
-    "DegenerateRegionError",
     "DEFAULT_MAPS",
     "DEFAULT_STARTS",
     "DEFAULT_REGION",
@@ -44,10 +43,6 @@ DEFAULT_MAX_ITERATIONS = 10000
 
 class NotConvergedError(RuntimeError):
     """Iteration budget exhausted before the stopping tolerance was met."""
-
-
-class DegenerateRegionError(ValueError):
-    """All sampled pairs were too close to form a contraction ratio."""
 
 
 @dataclass(frozen=True)
@@ -146,7 +141,7 @@ def _estimator_sample(m: AffineGaussianMap, region: ParameterBox, samples: int, 
                                m.mu_scale * mu2 + m.mu_shift, m.sigma_scale * sg2 + m.sigma_shift)
     mask = d >= 1e-12
     if not mask.any():
-        raise DegenerateRegionError("all sampled pairs are closer than 1e-12")
+        raise ValueError("all sampled pairs are closer than 1e-12")
     return (mu1, sg1, mu2, sg2), d, d_f, float(np.max(d_f[mask] / d[mask]))
 
 
@@ -157,7 +152,7 @@ def estimate_contraction_factor(m: AffineGaussianMap, region: ParameterBox,
     Returns the largest ratio d(Ta, Tb) / d(a, b) over ``samples`` uniform
     pairs from ``region``, skipping pairs closer than 1e-12.  Deterministic
     for a fixed ``rng_seed``.  Raises ValueError below 100 samples and
-    DegenerateRegionError when every sampled pair is skipped.
+    when every sampled pair is skipped.
     """
     return _estimator_sample(m, region, samples, rng_seed)[-1]
 

@@ -120,10 +120,10 @@ def test_criterion_07_fuzzy_contraction_execution():
     trace = iterate_to_fixed_point(m, GaussianState(4, 3), 1e-12, 10000)
     mu, sigma = DEFAULT_REGION.sample(np.random.default_rng(0), (2, 500))
     d = distance_from_params(mu[0], sigma[0], mu[1], sigma[1])
-    report = fuzzy_fixed_point(trace, d, 0.5 * d, 0.5, lambda i: (
+    report = fuzzy_fixed_point(d, 0.5 * d, 0.5, lambda i: (
         GaussianState(mu[0, i], sigma[0, i]), GaussianState(mu[1, i], sigma[1, i])))
-    miss = state_distance(report.trace.fixed_point, analytic_fixed_point(m))
-    assert report.trace.converged
+    miss = state_distance(trace.fixed_point, analytic_fixed_point(m))
+    assert trace.converged
     assert miss <= 1e-10
     assert report.condition.holds
     assert report.condition.max_abs_margin <= 1e-14
@@ -134,20 +134,19 @@ def test_criterion_07_fuzzy_contraction_execution():
 
 def test_criterion_08_cross_framework_consistency():
     # under the induced membership the fuzzy contraction in the state
-    # distance is the Banach iteration, so the report holds one trace for
+    # distance is the Banach iteration, so the report's one trace serves
     # both frameworks; this is why their fixed points agree by construction
     start = GaussianState(4, 3)
     steps = 0
     for m in DEFAULT_MAPS:
         report = build_feature_report(m, start, PROBE)
-        assert report.fuzzy_report.trace is report.quantum_report, m
         assert report.agreement_distance == 0.0
-        fp = analytic_fixed_point(m)
-        for trace in (report.quantum_report, report.fuzzy_report.trace):
-            assert trace.converged and state_distance(trace.fixed_point, fp) < 1e-10, m
-        steps += report.quantum_report.iterations_used
-    print(f"[acceptance 08] PASS - the fuzzy and quantum reports share one trace, and "
-          f"both reach the analytic fixed point for all default maps ({steps} steps)")
+        trace = report.quantum_report
+        miss = state_distance(trace.fixed_point, analytic_fixed_point(m))
+        assert trace.converged and miss < 1e-10, m
+        steps += trace.iterations_used
+    print(f"[acceptance 08] PASS - one trace serves the fuzzy and quantum frameworks, and "
+          f"it reaches the analytic fixed point for all default maps ({steps} steps)")
 
 
 def test_criterion_09_interference_contrast():

@@ -14,6 +14,12 @@ from hypothesis import strategies as st
 
 from qfixpoint import cli
 from qfixpoint.cli import SIZE_LIMITS, SIZE_MINIMA, build_parser, main
+from qfixpoint.fuzzy import (FuzzyMetric, absolute_difference, audit_gv_axioms,
+                             audit_tnorm_axioms, real_line_sampler)
+from qfixpoint.gaussian import GaussianState, audit_metric_axioms
+from qfixpoint.solver import AffineGaussianMap, iterate_to_fixed_point
+
+LINE = FuzzyMetric(base_distance=absolute_difference)
 
 RUN = [sys.executable, "-m", "qfixpoint.cli"]
 
@@ -218,7 +224,9 @@ def test_compare_defaults_json(capsys):
     assert res["interference_excess_quantum"] == pytest.approx(2 * math.exp(-0.25), abs=1e-12)
     assert res["interference_excess_fuzzy"] == 0
     frameworks = res["contraction_framework_results"]
-    assert frameworks["quantum"]["converged"] and frameworks["fuzzy"]["converged"]
+    assert frameworks["quantum"]["converged"]
+    # both rows print the one trace
+    assert frameworks["fuzzy"] == {**frameworks["quantum"], "framework": "fuzzy"}
     assert res["agreement_distance"] <= 1e-11
     assert set(res["notes"]) == {"completeness", "phase_sensitivity",
                                  "topological_protection", "conservation_laws"}
@@ -307,9 +315,10 @@ def test_nan_tolerance_exits_2(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["distance", "--a", "0,1e-300", "--b", "0,1e300"],
-    ["iterate", "--map", "0.5,0,0.5,0.5", "--start", "1e300,3"],
-    ["compare", "--start", "1e300,3"],
-    ["audit", "--target", "banach-bounds", "--start", "1e300,3"],
+    # the first step's 2*(sigma_a**2 + sigma_b**2) overflows
+    ["iterate", "--map", "0.5,0,0.5,0.5", "--start", "0,1e300"],
+    ["compare", "--start", "0,1e300"],
+    ["audit", "--target", "banach-bounds", "--start", "0,1e300"],
     # 2*(sigma_a**2 + sigma_b**2) overflows, which would put these distinct
     # states at distance 0
     *(["distance", *pair, "--format", fmt] for fmt in ("table", "csv") for pair in (
@@ -319,8 +328,8 @@ def test_nan_tolerance_exits_2(capsys, argv):
     # pi**2*(sigma_a*sigma_b)**2 in the quadrature prefactor overflows: this
     # used to print overlap_quadrature 0 with exit 0 and a RuntimeWarning
     ["distance", "--a", "0,1e77", "--b", "0,1e77", "--quadrature"],
-    # the trace stays in range, but (mu_0 - mu*)**2 in the tail bound overflows
-    *(["audit", "--target", "banach-bounds", "--map=0.99,0,0.5,0.5", "--start=1e155,1",
+    # refused before the audit prints anything, with --k given
+    *(["audit", "--target", "banach-bounds", "--map=0.99,0,0.5,0.5", "--start=0,1e155",
        "--max-iter", "1000000", "--k", "0.999", "--format", fmt] for fmt in ("table", "csv")),
 ])
 def test_overflowing_parameters_exit_2(capsys, argv):
@@ -334,20 +343,63 @@ def test_overflowing_parameters_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    # these printed distance 0 (and overlap 1) or a value 5.6e-6 relative off
+    # the unscaled form gives distance 0 or a value 5.6e-6 relative off here
     *(["distance", "--a", "0,1", "--b", b, "--format", fmt]
       for b in ("1e-170,1", "1e-160,1") for fmt in ("table", "json")),
     ["distance", "--a", "0,1e100", "--b", "1e-100,1e100"],
-    # the steps shrink below what the distance resolves, and a zero step
-    # used to pass for convergence
+    # the steps shrink into the subnormal range, where a step computed as 0
+    # would pass for convergence
     ["iterate", "--map", "0.5,0,0.5,0.5", "--start", "4,3", "--tol", "5e-324"],
 ])
 def test_states_too_close_to_resolve_exit_2(capsys, argv):
+    """Near states whose squared differences underflow exit 0 with their distance."""
+    mpmath = pytest.importorskip("mpmath")
     code = main(argv)
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == "error: the states are too close to resolve in double precision\n"
+    assert code == 0 and captured.err == ""
+    if argv[0] == "iterate":
+        # the last step is 5e-324, the smallest subnormal, and meets the tolerance
+        assert "iterations_used      1075\n" in captured.out
+        assert "final_step_distance  4.9406564584124654e-324\n" in captured.out
+        return
+    a, b = (tuple(map(float, argv[i].split(","))) for i in (2, 4))
+    got = (json.loads(captured.out)["result"]["distance"] if "json" in argv
+           else float(captured.out.split()[1]))
+    # equal widths: d = |dmu|/(sqrt(2)*sigma) to far below an ulp at these separations
+    with mpmath.workdps(40):
+        ref = float(abs(mpmath.mpf(a[0]) - mpmath.mpf(b[0])) / (mpmath.sqrt(2) * a[1]))
+    assert abs(got - ref) <= math.ulp(ref)
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    # (mu_a - mu_b)**2 overflows, but u = inf gives exactly overlap 0 and sqrt(2)
+    (["distance", "--a", "0,1", "--b", "1e155,1"], 0,
+     "distance             1.4142135623730951\noverlap_closed_form  0\n"),
+    # every step is sqrt(2) until the centres come within range; k_estimate is
+    # 1.0000000000000002, so the trace has no a-priori bounds
+    (["iterate", "--map", "0.5,0,0.5,0.5", "--start", "1e300,3", "--format", "json"], 0,
+     '"iterations_used": 1036, "k_estimate": 1.0000000000000002'),
+    (["compare", "--start", "1e300,3"], 0, "fuzzy_condition_holds        True\n"),
+    # ... and without --k the audit has no factor below 1 to check
+    (["audit", "--target", "banach-bounds", "--start", "1e300,3"], 2,
+     "error: --k was not given and the trace's k_estimate 1.0000000000000002 is not in "
+     "[0, 1); pass --k with 0 <= k < 1\n"),
+    # the steps saturate at sqrt(2) above any bound with k = 0.999
+    (["audit", "--target", "banach-bounds", "--map=0.99,0,0.5,0.5", "--start=1e155,1",
+      "--max-iter", "1000000", "--k", "0.999"], 4,
+     "banach-bounds/geometric_step_bound: FAIL (37769 checks)\n"
+     "  witness: {'n': 1, 'step_distance': 1.4142135623730951, "
+     "'bound': 1.412799348811722}\n"),
+])
+def test_far_apart_states_are_computed(capsys, argv, code, expected):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert expected in (captured.err if code == 2 else captured.out)
+    assert "Traceback" not in captured.err
+    if code != 2:
+        assert captured.err == ""
+    if argv[0] == "iterate":
+        assert '"a_priori_bounds": []' in captured.out
 
 
 @pytest.mark.parametrize("argv", [
@@ -427,6 +479,30 @@ def test_size_options_above_their_limit_exit_2(capsys, flag, excess):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {flag}: must be at least {low}\n"
+
+
+# the library call behind each flag of SIZE_MINIMA, and its own refusal below the minimum
+LIBRARY_MINIMA = {
+    "--resolution": (lambda n: audit_tnorm_axioms("product", n),
+                     "grid_resolution must be at least 5"),
+    "--points": (lambda n: audit_gv_axioms(LINE, real_line_sampler(), n, 5),
+                 "point_samples must be at least 10"),
+    "--t-samples": (lambda n: audit_gv_axioms(LINE, real_line_sampler(), 10, n),
+                    "t_samples must be at least 5"),
+    "--samples": (audit_metric_axioms, "samples must be positive"),
+    "--max-iter": (lambda n: iterate_to_fixed_point(
+        AffineGaussianMap(0.5, 0.0, 0.5, 0.5), GaussianState(4, 3), max_iterations=n),
+        "max_iterations must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(SIZE_MINIMA))
+def test_size_minima_restate_the_library_minima(flag):
+    # SIZE_MINIMA repeats these minima so that the message names the flag
+    call, message = LIBRARY_MINIMA[flag]
+    with pytest.raises(ValueError, match=message):
+        call(SIZE_MINIMA[flag] - 1)
+    call(SIZE_MINIMA[flag])
 
 
 def test_size_limits_admit_the_defaults():

@@ -108,12 +108,10 @@ def test_feature_report_interference_row(default_report):
 
 
 def test_feature_report_frameworks_agree(default_report):
-    q, f = default_report.quantum_report, default_report.fuzzy_report.trace
-    assert q.converged and f.converged
+    q = default_report.quantum_report
+    assert q.converged
     assert default_report.agreement_distance <= 1e-11
-    fp = analytic_fixed_point(DEFAULT_MAPS[0])
-    assert state_distance(q.fixed_point, fp) < 1e-10
-    assert state_distance(f.fixed_point, fp) < 1e-10
+    assert state_distance(q.fixed_point, analytic_fixed_point(DEFAULT_MAPS[0])) < 1e-10
 
 
 def test_feature_report_condition_audit_clean(default_report):
@@ -133,8 +131,7 @@ def test_feature_report_condition_audit_equals_generic_audit(m, seed):
     pairs = sample_state_pairs(DEFAULT_REGION, 2000, np.random.default_rng(seed))
     d = np.array([state_distance(x, y) for x, y in pairs])
     d_f = np.array([state_distance(apply_map(m, x), apply_map(m, y)) for x, y in pairs])
-    want = fuzzy_fixed_point(report.quantum_report, d, d_f, report.fuzzy_report.k,
-                             pairs.__getitem__, seed).condition
+    want = fuzzy_fixed_point(d, d_f, report.fuzzy_report.k, pairs.__getitem__, seed).condition
     assert (got.samples, got.violations, got.holds) == (want.samples, want.violations,
                                                         want.holds)
     # the array distances differ from the scalar kernel's by at most a few
@@ -164,7 +161,6 @@ def test_feature_report_comes_from_the_traced_fuzzy_fixed_point(monkeypatch):
     report = build_feature_report(DEFAULT_MAPS[0], GaussianState(4, 3), PROBE)
     assert len(returned) == 1
     assert report.fuzzy_report is returned[0]
-    assert report.fuzzy_report.trace is report.quantum_report
 
 
 @pytest.mark.parametrize("m", [*DEFAULT_MAPS, AffineGaussianMap(0.95, 0.0, 0.3, 0.2)])
@@ -190,7 +186,6 @@ def test_feature_report_runs_the_iteration_once(monkeypatch):
     report = build_feature_report(DEFAULT_MAPS[0], GaussianState(4, 3), PROBE)
     assert calls == []
     assert report.fuzzy_report.condition.samples == 2000 * T_SAMPLES
-    assert report.fuzzy_report.trace is report.quantum_report
     assert report.agreement_distance == 0.0
 
 
@@ -232,8 +227,7 @@ def test_fuzzy_iteration_on_state_carrier_matches_quantum():
     for m in CARRIER_MAPS:
         for start in DEFAULT_STARTS:
             report = build_feature_report(m, start, PROBE)
-            assert report.fuzzy_report.trace is report.quantum_report, (m, start)
             assert report.quantum_report == iterate_to_fixed_point(m, start), (m, start)
             if m in DEFAULT_MAPS:
                 fp = analytic_fixed_point(m)
-                assert state_distance(report.fuzzy_report.trace.fixed_point, fp) < 1e-10
+                assert state_distance(report.quantum_report.fixed_point, fp) < 1e-10

@@ -11,9 +11,8 @@ from qfixpoint.fuzzy import (_AUDIT_ROWS, AUDIT_SLACK, T_RANGE, T_SAMPLES, Fuzzy
                              TNormKind, _grade, _tnorm_fn, absolute_difference,
                              audit_gv_axioms, audit_tnorm_axioms, audit_tnorm_ordering,
                              fuzzy_fixed_point, real_line_sampler)
-from qfixpoint.gaussian import GaussianState
 from qfixpoint.reports import AuditCheck, AxiomAuditReport
-from qfixpoint.solver import DEFAULT_REGION, AffineGaussianMap, apply_map, iterate_to_fixed_point
+from qfixpoint.solver import DEFAULT_REGION, AffineGaussianMap, apply_map
 
 unit = st.floats(0.0, 1.0)
 
@@ -125,6 +124,12 @@ def test_gv_axioms_line_carrier_all_tnorms():
         assert report.passed, (kind, _failures(report))
 
 
+def test_gv_axioms_refuse_an_unknown_tnorm():
+    fm = FuzzyMetric(base_distance=absolute_difference, tnorm="bogus")
+    with pytest.raises(ValueError, match="unknown t-norm kind: 'bogus'"):
+        audit_gv_axioms(fm, real_line_sampler(), 16, 8)
+
+
 def test_gv_axioms_detect_degenerate_distance():
     fm = FuzzyMetric(base_distance=lambda x, y: 0.0)
     report = audit_gv_axioms(fm, real_line_sampler(), 16, 8, rng_seed=0)
@@ -158,10 +163,6 @@ def test_gv_axioms_deterministic_per_seed():
 
 # --------------------------------------------------------- fuzzy fixed point
 
-# the run each audit below is reported beside; the audit does not touch it
-TRACE = iterate_to_fixed_point(AffineGaussianMap(0.5, 0.0, 0.5, 0.5), GaussianState(4, 3))
-
-
 def _pair_distances(fm, f, pairs):
     """The audit's inputs: d(x, y) and d(f(x), f(y)) per pair."""
     return (np.array([fm.base_distance(x, y) for x, y in pairs], dtype=float),
@@ -177,8 +178,8 @@ def test_halving_map_condition_holds_with_equality():
     pairs = _line_pairs(200)
     d, d_f = _pair_distances(LINE, lambda x: x / 2, pairs)
     assert (d_f == 0.5 * d).all()
-    report = fuzzy_fixed_point(TRACE, d, d_f, 0.5, pairs.__getitem__)
-    assert report.trace is TRACE and report.k == 0.5
+    report = fuzzy_fixed_point(d, d_f, 0.5, pairs.__getitem__)
+    assert report.k == 0.5
     assert report.condition.holds
     # scaling both distance and t by the same factor leaves t/(t+d) unchanged
     assert report.condition.max_abs_margin <= 1e-14
@@ -187,19 +188,18 @@ def test_halving_map_condition_holds_with_equality():
 def test_identity_map_violates_condition_but_iterates():
     pairs = _line_pairs(50)
     d, d_f = _pair_distances(LINE, lambda x: x, pairs)
-    report = fuzzy_fixed_point(TRACE, d, d_f, 0.5, pairs.__getitem__)
+    report = fuzzy_fixed_point(d, d_f, 0.5, pairs.__getitem__)
     assert not report.condition.holds
     assert report.condition.violations > 0
-    # the witness names its pair through pair_at, and the run is reported as given
+    # the witness names its pair through pair_at
     assert (report.condition.witness["x"], report.condition.witness["y"]) in pairs
-    assert report.trace is TRACE and TRACE.converged
 
 
 def test_fuzzy_fixed_point_validates_k():
     d = np.array([1.0, 2.0])
     for bad in (0.0, 1.0, -0.3, 1.7, math.nan):
         with pytest.raises(ValueError, match=r"k must lie in \(0, 1\)"):
-            fuzzy_fixed_point(TRACE, d, d / 2, bad, lambda i: (i, i))
+            fuzzy_fixed_point(d, d / 2, bad, lambda i: (i, i))
 
 
 @pytest.mark.parametrize("inputs", [
@@ -208,7 +208,7 @@ def test_fuzzy_fixed_point_validates_k():
 def test_fuzzy_fixed_point_rejects_an_empty_condition_audit(inputs):
     # an audit of no sample would report holds=True with min_margin=inf
     with pytest.raises(ValueError, match="at least one pair"):
-        fuzzy_fixed_point(TRACE, k=0.5, pair_at=lambda i: (i, i), **inputs)
+        fuzzy_fixed_point(k=0.5, pair_at=lambda i: (i, i), **inputs)
 
 
 def test_samplers_draw_from_their_fixed_ranges():
@@ -221,21 +221,9 @@ def test_samplers_draw_from_their_fixed_ranges():
                for s in states)
 
 
-def test_fuzzy_fixed_point_budget_exhaustion():
-    # a run that exhausted its budget is reported as it is, and still audited
-    slow = iterate_to_fixed_point(AffineGaussianMap(0.99999, 0.0, 0.5, 0.5),
-                                  GaussianState(4, 3), max_iterations=10)
-    pairs = _line_pairs(20)
-    report = fuzzy_fixed_point(slow, *_pair_distances(LINE, lambda x: x / 2, pairs), 0.6,
-                               pairs.__getitem__)
-    assert report.trace is slow
-    assert not report.trace.converged and report.trace.iterations_used == 10
-    assert report.condition.holds and report.condition.samples == 20 * T_SAMPLES
-
-
 def test_fuzzy_fixed_point_accepts_explicit_pairs():
     pairs = [(0.0, 1.0), (2.0, -3.0), (5.0, 5.0)]
-    report = fuzzy_fixed_point(TRACE, *_pair_distances(LINE, lambda x: x / 2, pairs), 0.5,
+    report = fuzzy_fixed_point(*_pair_distances(LINE, lambda x: x / 2, pairs), 0.5,
                                pairs.__getitem__)
     assert report.condition.samples == len(pairs) * T_SAMPLES
     assert report.condition.holds
@@ -394,7 +382,7 @@ def test_condition_audit_equals_scalar_loop(fm, f, k, sampler, holds):
     rng = np.random.default_rng(3)
     pairs = [(sampler(rng), sampler(rng)) for _ in range(150)]
     d, d_f = _pair_distances(fm, f, pairs)
-    c = fuzzy_fixed_point(TRACE, d, d_f, k, pairs.__getitem__, rng_seed=3).condition
+    c = fuzzy_fixed_point(d, d_f, k, pairs.__getitem__, rng_seed=3).condition
     samples, violations, min_margin, max_abs, witness = _scalar_condition(
         d, d_f, k, pairs, np.random.default_rng(3))
     assert c.holds is holds
@@ -423,7 +411,7 @@ def test_blocked_condition_audit_equals_scalar_loop(t_samples, pairs):
     gaps = np.random.default_rng(5).uniform(0.01, 0.5, pairs)
     condition_pairs = [(float(i), i + float(g)) for i, g in enumerate(gaps)]
     d, d_f = _pair_distances(fm, f, condition_pairs)
-    c = fuzzy_fixed_point(TRACE, d, d_f, 0.6, condition_pairs.__getitem__, rng_seed=3).condition
+    c = fuzzy_fixed_point(d, d_f, 0.6, condition_pairs.__getitem__, rng_seed=3).condition
     want = _scalar_condition(d, d_f, 0.6, condition_pairs, np.random.default_rng(3))
     assert (c.samples, c.violations, c.min_margin, c.max_abs_margin, c.witness) == want
     assert c.holds is (pairs <= rows)
@@ -436,10 +424,10 @@ def test_condition_audit_memory_does_not_grow_with_pair_count():
     for pairs in (2000, 20000):
         d = np.random.default_rng(1).uniform(0.0, 1.0, pairs)
         d_f = d / 2  # violates the condition at k = 0.3, so a witness is built
-        fuzzy_fixed_point(TRACE, d, d_f, 0.3, lambda i: (i, i))
+        fuzzy_fixed_point(d, d_f, 0.3, lambda i: (i, i))
         tracemalloc.start()
         try:
-            fuzzy_fixed_point(TRACE, d, d_f, 0.3, lambda i: (i, i))
+            fuzzy_fixed_point(d, d_f, 0.3, lambda i: (i, i))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

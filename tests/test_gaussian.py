@@ -348,22 +348,14 @@ def test_distance_monotone_in_separation():
     assert all(x < y for x, y in zip(vals, vals[1:]))
 
 
-def _distance_or_unresolved(a, b):
-    """state_distance, or 0.0 where it refuses distinct states closer than it resolves."""
-    try:
-        return state_distance(a, b)
-    except ValueError:
-        assert a != b and max(abs(a.mu - b.mu), abs(a.sigma - b.sigma)) < 1e-140
-        return 0.0
-
-
 @settings(max_examples=100)
 @given(states, states, states)
 def test_distance_metric_properties(a, b, c):
-    d_ab = _distance_or_unresolved(a, b)
-    assert d_ab == _distance_or_unresolved(b, a)
+    d_ab = state_distance(a, b)
+    assert d_ab == state_distance(b, a)
     assert 0.0 <= d_ab <= math.sqrt(2)
-    assert _distance_or_unresolved(a, c) <= d_ab + _distance_or_unresolved(b, c) + 1e-12
+    assert (d_ab == 0.0) is (a == b)
+    assert state_distance(a, c) <= d_ab + state_distance(b, c) + 1e-12
 
 
 def test_distance_matches_vectorized_form():
@@ -401,7 +393,7 @@ def test_distance_matches_vectorized_form_bitwise_without_avx512_kernels():
 
 
 @pytest.mark.parametrize("a, b", [
-    ((0.0, 1.0), (1e155, 1.0)),  # (mu_a - mu_b)**2 overflows
+    ((1e155, 1e155), (0.0, 1.0)),  # (mu_a - mu_b)**2 and sigma_a**2 overflow
     ((0.0, 1e160), (0.0, 1.0000001e160)),  # sigma_a**2 overflows
     ((0.0, 0.8e154), (1e154, 0.8e154)),  # only 2*(sigma_a**2 + sigma_b**2) overflows
 ])
@@ -416,9 +408,36 @@ def test_vectorized_distance_refuses_overflow_like_the_scalar_one(a, b):
             distance_from_params(mu1, sg1, mu2, sg2)
 
 
+def _reference_distance(mpmath, a, b):
+    """sqrt(2 - 2<a|b>) at 700 digits: the subtraction cancels 2*log10(1/d), 400 here at most."""
+    with mpmath.workdps(700):
+        ma, sa, mb, sb = map(mpmath.mpf, (*a, *b))
+        ss = sa * sa + sb * sb
+        overlap = mpmath.sqrt(2 * sa * sb / ss) * mpmath.exp(-(ma - mb) ** 2 / (2 * ss))
+        return float(mpmath.sqrt(2 - 2 * overlap))
+
+
+@pytest.mark.parametrize("a, b", [
+    ((0.0, 1.0), (1e155, 1.0)),
+    ((1.7e308, 3.0), (-1.7e308, 3.0)),  # mu_a - mu_b itself overflows
+    ((-1.7e308, 3.0), (1.7e308, 3.0)),
+    ((0.0, 1.0), (1e200, 2.0)),
+])
+def test_distance_of_far_apart_states_is_sqrt2(a, b):
+    # (mu_a - mu_b)**2 overflows over a finite 2*ss: u = inf, and expm1(-inf) = -1
+    mpmath = pytest.importorskip("mpmath")
+    assert _reference_distance(mpmath, a, b) == math.sqrt(2.0)
+    mu1, sg1, mu2, sg2 = (np.array([1.0, v, 2.0]) for v in (*a, *b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert distance_from_params(mu1, sg1, mu2, sg2)[1] == math.sqrt(2.0)
+        assert state_distance(GaussianState(*a), GaussianState(*b)) == math.sqrt(2.0)
+        assert overlap_closed_form(GaussianState(*a), GaussianState(*b)) == 0.0
+
+
 # distinct states whose centre or width difference squares below the normal
-# range: the distance came out 0 (7.07e-171, 1.57e-16 and 7.1e-201 true) or
-# 5.6e-6 relative off (7.07e-161 true)
+# range, where the unscaled form gives 0 (7.07e-171, 1.57e-16 and 7.1e-201
+# true) or a value 5.6e-6 relative off (7.07e-161 true)
 UNRESOLVED = [
     ((0.0, 1.0), (1e-170, 1.0)),
     ((0.0, 1.0), (1e-160, 1.0)),
@@ -430,13 +449,15 @@ UNRESOLVED = [
 
 @pytest.mark.parametrize("a, b", UNRESOLVED)
 def test_distance_refuses_states_too_close_to_resolve(a, b):
+    """These pairs take the scaled form, within an ulp of the reference on both paths."""
+    mpmath = pytest.importorskip("mpmath")
+    ref = _reference_distance(mpmath, a, b)
     for x, y in ((a, b), (b, a)):
-        with pytest.raises(ValueError, match="too close to resolve"):
-            state_distance(GaussianState(*x), GaussianState(*y))
-        # the refused pair among ordinary ones
+        scalar = state_distance(GaussianState(*x), GaussianState(*y))
+        assert abs(scalar - ref) <= math.ulp(ref)
+        # the pair among ordinary ones gets the same bits
         mu1, sg1, mu2, sg2 = (np.array([1.0, v, 2.0]) for v in (*x, *y))
-        with pytest.raises(ValueError, match="too close to resolve"):
-            distance_from_params(mu1, sg1, mu2, sg2)
+        assert distance_from_params(mu1, sg1, mu2, sg2)[1] == scalar
 
 
 @pytest.mark.parametrize("a, b", [
@@ -451,12 +472,7 @@ def test_distance_refuses_states_too_close_to_resolve(a, b):
 ])
 def test_distance_keeps_resolved_pairs_and_identical_ones(a, b):
     mpmath = pytest.importorskip("mpmath")
-    # 2 - 2<a|b> cancels about 2*log10(1/d) digits, 340 here at most
-    with mpmath.workdps(400):
-        ma, sa, mb, sb = map(mpmath.mpf, (*a, *b))
-        ss = sa * sa + sb * sb
-        overlap = mpmath.sqrt(2 * sa * sb / ss) * mpmath.exp(-(ma - mb) ** 2 / (2 * ss))
-        ref = float(mpmath.sqrt(2 - 2 * overlap))
+    ref = _reference_distance(mpmath, a, b)
     vectorized = distance_from_params(*(np.array([v]) for v in (*a, *b)))[0]
     for got in (state_distance(GaussianState(*a), GaussianState(*b)), vectorized):
         assert abs(got - ref) <= DISTANCE_ULPS * math.ulp(ref)
@@ -466,7 +482,7 @@ def test_distance_keeps_resolved_pairs_and_identical_ones(a, b):
 
 
 @pytest.mark.parametrize("a, b", [
-    ((0.0, 1e-160), (0.0, 2e-160)),  # d = 0.4595, refused as too close to resolve
+    ((0.0, 1e-160), (0.0, 2e-160)),  # d = 0.4595, but ss is subnormal
     ((0.0, 1e-160), (0.0, 1e-160)),  # identical, distance 0
     ((0.0, 3e-160), (1e-159, 1e-160)),
     ((0.0, 1e-200), (0.0, 2e-200)),  # ss is 0
@@ -521,8 +537,10 @@ def test_scalar_and_vectorized_distance_refuse_alike(mu, sigma, k, shifted):
         *(np.array([v]) for v in (*a, *b)))[0]))
     if isinstance(scalar, float) and isinstance(vectorized, float):
         assert abs(scalar - vectorized) <= 4 * math.ulp(max(scalar, vectorized))
+        assert (scalar > 0.0) is (a != b)
     else:
-        assert scalar == vectorized
+        # only widths whose squares leave the double range are refused
+        assert scalar == vectorized and scalar in (ZeroDivisionError, OverflowError)
 
 
 # ----------------------------------------------------- oracle grid and audit

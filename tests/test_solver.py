@@ -12,11 +12,10 @@ from qfixpoint import solver
 from qfixpoint.compare import gaussian_state_sampler
 from qfixpoint.gaussian import GaussianState, state_distance
 from qfixpoint.solver import (DEFAULT_MAPS, DEFAULT_REGION, DEFAULT_STARTS,
-                              AffineGaussianMap, DegenerateRegionError,
-                              NotConvergedError, ParameterBox, analytic_fixed_point,
-                              apply_map, estimate_contraction_factor,
-                              iterate_to_fixed_point, verify_banach_bounds,
-                              verify_uniqueness)
+                              AffineGaussianMap, FixedPointReport, NotConvergedError,
+                              ParameterBox, analytic_fixed_point, apply_map,
+                              estimate_contraction_factor, iterate_to_fixed_point,
+                              verify_banach_bounds, verify_uniqueness)
 
 MAP_HALVING = AffineGaussianMap(0.5, 0.0, 0.5, 0.5)
 MAP_CONSTANT = AffineGaussianMap(0.0, 0.0, 0.0, 1.0)
@@ -156,12 +155,7 @@ def test_analytic_fixed_point_solves_recursion():
 @given(maps)
 def test_analytic_fixed_point_is_fixed(m):
     fp = analytic_fixed_point(m)
-    out = apply_map(m, fp)
-    try:
-        assert state_distance(out, fp) < 1e-13
-    except ValueError:
-        # refused only for distinct states closer than the distance resolves
-        assert out != fp and max(abs(out.mu - fp.mu), abs(out.sigma - fp.sigma)) < 1e-140
+    assert state_distance(apply_map(m, fp), fp) < 1e-13
 
 
 # -------------------------------------------------------- contraction factor
@@ -187,7 +181,7 @@ def test_contraction_factor_deterministic_per_seed():
 
 def test_contraction_factor_degenerate_region():
     box = ParameterBox(3.0, 3.0, 1.0, 1.0)  # single point, all pairs coincide
-    with pytest.raises(DegenerateRegionError):
+    with pytest.raises(ValueError, match="closer than 1e-12"):
         estimate_contraction_factor(MAP_HALVING, box, 200, 0)
 
 
@@ -264,6 +258,10 @@ def test_iterate_validates_arguments():
         iterate_to_fixed_point(MAP_HALVING, GaussianState(4, 3), tolerance=0.0)
     with pytest.raises(ValueError):
         iterate_to_fixed_point(MAP_HALVING, GaussianState(4, 3), max_iterations=0)
+    # no state distance exceeds sqrt(2), so the first step would pass for convergence
+    for tolerance in (math.sqrt(2), math.inf):
+        with pytest.raises(ValueError, match=r"tolerance must be below sqrt\(2\)"):
+            iterate_to_fixed_point(MAP_HALVING, GaussianState(4, 3), tolerance)
 
 
 def test_nan_tolerance_rejected():
@@ -306,6 +304,16 @@ def test_banach_bounds_reject_bad_k():
     report = iterate_to_fixed_point(MAP_HALVING, GaussianState(4, 3))
     with pytest.raises(ValueError, match="k must satisfy"):
         verify_banach_bounds(report, 1.0)
+
+
+def test_banach_bounds_reject_a_report_of_one_iterate():
+    # the iteration always takes a step, so only a hand-built report has one iterate
+    start = GaussianState(4, 3)
+    report = FixedPointReport(iterates=(start,), step_distances=(), k_estimate=0.0,
+                              a_priori_bounds=(), fixed_point=start, converged=False,
+                              iterations_used=0)
+    with pytest.raises(ValueError, match="at least 2 iterates"):
+        verify_banach_bounds(report, 0.5)
 
 
 SURVEY = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "contraction_survey.py"
