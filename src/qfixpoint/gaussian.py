@@ -284,11 +284,17 @@ _RESOLVED_SQ = 2.0**55 * sys.float_info.min
 
 def _near_distance(dmu, dsigma, sab, ss):
     """:func:`_distance` of one pair from v = a**2 and u = b**2, squaring no difference."""
-    a, b = abs(dsigma) / math.sqrt(ss), abs(dmu) / math.sqrt(2.0 * ss)
-    p = math.sqrt(2.0 * sab / ss)
-    # sqrt(1 - exp(-b**2)) is b to rounding where b**2 < 1e-17
-    g = b if b * b < 1e-17 else math.sqrt(-math.expm1(-b * b))
-    return SQRT2 * math.hypot(a / math.sqrt(1.0 + p), math.sqrt(p) * g)
+    # a and b come from the differences scaled by 2**-e to below 1, so neither
+    # rounds below the normal range, and d is scaled back in one rounding
+    e = min(0, math.frexp(max(abs(dmu), abs(dsigma)))[1])
+    a, b = (math.ldexp(abs(x), -e) / math.sqrt(s) for x, s in ((dsigma, ss), (dmu, 2.0 * ss)))
+    p, u = math.sqrt(2.0 * sab / ss), math.ldexp(b, e) * math.ldexp(b, e)
+    # sqrt(1 - exp(-u)) is b to rounding where u < 1e-17
+    g = b if u < 1e-17 else math.ldexp(math.sqrt(-math.expm1(-u)), -e)
+    d = math.ldexp(SQRT2 * math.hypot(a / math.sqrt(1.0 + p), math.sqrt(p) * g), e)
+    if d == 0.0 and (dmu or dsigma):
+        raise ValueError("distinct states at a distance below the smallest double")
+    return d
 
 
 def state_distance(a: GaussianState, b: GaussianState) -> float:
@@ -298,9 +304,9 @@ def state_distance(a: GaussianState, b: GaussianState) -> float:
     to a few ulps down to distances far below sqrt(machine epsilon) and at width
     ratios up to 1e8; the naive 2 - 2*overlap cannot resolve below ~1e-8.  Where
     a squared difference may leave the normal range it takes the scaled form of
-    :func:`_near_distance`.  Zero exactly iff the parameter pairs are identical.
-    Raises ZeroDivisionError where ss = sigma_a**2 + sigma_b**2 is below the
-    smallest normal double, and OverflowError where 2*ss overflows.
+    :func:`_near_distance`.  Zero exactly iff the pairs are identical: raises
+    ValueError where distinct pairs round to 0, ZeroDivisionError where ss =
+    sigma_a**2 + sigma_b**2 is subnormal, and OverflowError where 2*ss overflows.
     """
     dmu2, ss = _squares(a, b)
     d = _distance(math, dmu2, a.sigma - b.sigma, a.sigma * b.sigma, ss)

@@ -350,6 +350,8 @@ def test_overflowing_parameters_exit_2(capsys, argv):
     # the steps shrink into the subnormal range, where a step computed as 0
     # would pass for convergence
     ["iterate", "--map", "0.5,0,0.5,0.5", "--start", "4,3", "--tol", "5e-324"],
+    # d = 3.5e-324 rounds up to the smallest subnormal
+    ["distance", "--a", "0,1", "--b", "5e-324,1"],
 ])
 def test_states_too_close_to_resolve_exit_2(capsys, argv):
     """Near states whose squared differences underflow exit 0 with their distance."""
@@ -369,6 +371,18 @@ def test_states_too_close_to_resolve_exit_2(capsys, argv):
     with mpmath.workdps(40):
         ref = float(abs(mpmath.mpf(a[0]) - mpmath.mpf(b[0])) / (mpmath.sqrt(2) * a[1]))
     assert abs(got - ref) <= math.ulp(ref)
+
+
+@pytest.mark.parametrize("argv", [
+    # d = 3.5e-331 rounds to 0, which distinct states must not print
+    ["distance", "--a", "1e-200,1e130", "--b", "1.5e-200,1e130"],
+    ["distance", "--a", "0,10", "--b", "5e-324,10", "--format", "json"],
+])
+def test_distinct_states_at_distance_below_the_smallest_double_exit_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: distinct states at a distance below the smallest double\n"
 
 
 @pytest.mark.parametrize("argv, code, expected", [

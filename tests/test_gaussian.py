@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qfixpoint
@@ -351,11 +351,18 @@ def test_distance_monotone_in_separation():
 @settings(max_examples=100)
 @given(states, states, states)
 def test_distance_metric_properties(a, b, c):
-    d_ab = state_distance(a, b)
+    pairs = ((a, b), (a, c), (b, c))
+    try:
+        d_ab, d_ac, d_bc = (state_distance(x, y) for x, y in pairs)
+    except ValueError:
+        # refused only for distinct states whose distance rounds to 0
+        assert any(x != y and max(abs(x.mu - y.mu), abs(x.sigma - y.sigma)) < 1e-300
+                   for x, y in pairs)
+        return
     assert d_ab == state_distance(b, a)
     assert 0.0 <= d_ab <= math.sqrt(2)
     assert (d_ab == 0.0) is (a == b)
-    assert state_distance(a, c) <= d_ab + state_distance(b, c) + 1e-12
+    assert d_ac <= d_ab + d_bc + 1e-12
 
 
 def test_distance_matches_vectorized_form():
@@ -438,7 +445,7 @@ def test_distance_of_far_apart_states_is_sqrt2(a, b):
 # distinct states whose centre or width difference squares below the normal
 # range, where the unscaled form gives 0 (7.07e-171, 1.57e-16 and 7.1e-201
 # true) or a value 5.6e-6 relative off (7.07e-161 true)
-UNRESOLVED = [
+NEAR_PAIRS = [
     ((0.0, 1.0), (1e-170, 1.0)),
     ((0.0, 1.0), (1e-160, 1.0)),
     # at unit scale the same relative width difference gives about 1.57e-16
@@ -447,7 +454,7 @@ UNRESOLVED = [
 ]
 
 
-@pytest.mark.parametrize("a, b", UNRESOLVED)
+@pytest.mark.parametrize("a, b", NEAR_PAIRS)
 def test_distance_refuses_states_too_close_to_resolve(a, b):
     """These pairs take the scaled form, within an ulp of the reference on both paths."""
     mpmath = pytest.importorskip("mpmath")
@@ -458,6 +465,31 @@ def test_distance_refuses_states_too_close_to_resolve(a, b):
         # the pair among ordinary ones gets the same bits
         mu1, sg1, mu2, sg2 = (np.array([1.0, v, 2.0]) for v in (*x, *y))
         assert distance_from_params(mu1, sg1, mu2, sg2)[1] == scalar
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    # d = 3.5e-324 rounds up to the smallest subnormal; b = |dmu|/sqrt(2*ss)
+    # alone would round to 0 before its scale by sqrt(2)*sqrt(p)
+    ((0.0, 1.0), (5e-324, 1.0), 5e-324),
+    ((0.0, 1.0), (1e-322, 1.0), 7e-323),
+    # d = 3.5e-331 and 3.5e-325 round to 0: distinct states, so refused
+    ((1e-200, 1e130), (1.5e-200, 1e130), ValueError),
+    ((0.0, 10.0), (5e-324, 10.0), ValueError),
+])
+def test_subnormal_distances_round_once_or_are_refused(a, b, expected):
+    mpmath = pytest.importorskip("mpmath")
+    ref = _reference_distance(mpmath, a, b)
+    arrays = [np.array([1.0, v, 2.0]) for v in (*a, *b)]
+    if expected is ValueError:
+        assert ref == 0.0
+        with pytest.raises(ValueError, match="below the smallest double"):
+            state_distance(GaussianState(*a), GaussianState(*b))
+        with pytest.raises(ValueError, match="below the smallest double"):
+            distance_from_params(*arrays)
+        return
+    assert ref == expected
+    assert state_distance(GaussianState(*a), GaussianState(*b)) == expected
+    assert distance_from_params(*arrays)[1] == expected
 
 
 @pytest.mark.parametrize("a, b", [
@@ -528,6 +560,7 @@ magnitudes = st.floats(-200.0, 200.0).map(lambda e: 10.0 ** e)
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(st.just(0.0), magnitudes, magnitudes.map(lambda m: -m)), magnitudes,
        st.integers(1, 60), st.sampled_from(["mu", "sigma", "both"]))
+@example(1e-200, 1e130, 1, "mu")  # distinct states at distance 3.5e-331
 def test_scalar_and_vectorized_distance_refuse_alike(mu, sigma, k, shifted):
     a = (mu, sigma)
     b = (mu * (1 + 2.0**-k) if shifted != "sigma" else mu,
@@ -539,8 +572,12 @@ def test_scalar_and_vectorized_distance_refuse_alike(mu, sigma, k, shifted):
         assert abs(scalar - vectorized) <= 4 * math.ulp(max(scalar, vectorized))
         assert (scalar > 0.0) is (a != b)
     else:
-        # only widths whose squares leave the double range are refused
-        assert scalar == vectorized and scalar in (ZeroDivisionError, OverflowError)
+        # widths whose squares leave the double range are refused, and so are
+        # distinct states whose distance rounds to 0
+        assert scalar == vectorized
+        assert scalar in (ZeroDivisionError, OverflowError, ValueError)
+        if scalar is ValueError:
+            assert a != b
 
 
 # ----------------------------------------------------- oracle grid and audit

@@ -155,7 +155,12 @@ def test_analytic_fixed_point_solves_recursion():
 @given(maps)
 def test_analytic_fixed_point_is_fixed(m):
     fp = analytic_fixed_point(m)
-    assert state_distance(apply_map(m, fp), fp) < 1e-13
+    out = apply_map(m, fp)
+    try:
+        assert state_distance(out, fp) < 1e-13
+    except ValueError:
+        # refused only for distinct states whose distance rounds to 0
+        assert out != fp and max(abs(out.mu - fp.mu), abs(out.sigma - fp.sigma)) < 1e-300
 
 
 # -------------------------------------------------------- contraction factor
