@@ -284,8 +284,8 @@ _RESOLVED_SQ = 2.0**55 * sys.float_info.min
 
 def _near_distance(dmu, dsigma, sab, ss):
     """:func:`_distance` of one pair from v = a**2 and u = b**2, squaring no difference."""
-    # a and b come from the differences scaled by 2**-e to below 1, so neither
-    # rounds below the normal range, and d is scaled back in one rounding
+    # differences below 1/2 are scaled up by 2**-e, the larger into [1/2, 1), so neither
+    # a nor b rounds below the normal range; d is scaled back in one rounding
     e = min(0, math.frexp(max(abs(dmu), abs(dsigma)))[1])
     a, b = (math.ldexp(abs(x), -e) / math.sqrt(s) for x, s in ((dsigma, ss), (dmu, 2.0 * ss)))
     p, u = math.sqrt(2.0 * sab / ss), math.ldexp(b, e) * math.ldexp(b, e)
