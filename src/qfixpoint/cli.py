@@ -15,7 +15,8 @@ import sys
 from itertools import chain, zip_longest
 from operator import attrgetter
 
-from .compare import build_feature_report, gaussian_parameter_metric, gaussian_state_sampler
+from .compare import (OUT_OF_SCOPE_NOTES, build_feature_report, gaussian_parameter_metric,
+                      gaussian_state_sampler, interference_excess)
 from .fuzzy import (TNormKind, absolute_difference, audit_gv_axioms,
                     audit_tnorm_axioms, audit_tnorm_ordering, FuzzyMetric,
                     real_line_sampler)
@@ -259,45 +260,44 @@ def _cmd_compare(args) -> int:
     probe = (_parse(args.probe_a, "--probe-a", GaussianState),
              _parse(args.probe_b, "--probe-b", GaussianState))
 
-    report = build_feature_report(m, start, probe, args.tol, args.max_iter,
-                                  rng_seed=args.seed)
-    c = report.fuzzy_report.condition
-    condition = {"k_estimate": report.k_estimate, "k": report.fuzzy_report.k,
+    trace, k_estimate, fuzzy = build_feature_report(m, start, args.tol, args.max_iter,
+                                                    rng_seed=args.seed)
+    c = fuzzy.condition
+    condition = {"k_estimate": k_estimate, "k": fuzzy.k,
                  "samples": c.samples, "violations": c.violations,
                  "min_margin": c.min_margin, "max_abs_margin": c.max_abs_margin,
                  "holds": c.holds}
     if c.witness is not None:
         condition["witness"] = c.witness
-    # under t/(t + d) the fuzzy contraction is the same Picard iteration: one trace
-    trace = report.quantum_report
+    # constant rows: a graded membership has no superposition, so no excess, and under
+    # t/(t + d) the fuzzy contraction is the same Picard iteration, so one trace serves both
+    excess = {"interference_excess_quantum": interference_excess(*probe),
+              "interference_excess_fuzzy": 0.0}
+    agreement = ("agreement_distance", 0.0)
     result = {
-        "interference_excess_quantum": report.interference_excess_quantum,
-        "interference_excess_fuzzy": report.interference_excess_fuzzy,
+        **excess,
         "contraction_framework_results": {
             name: {"framework": name, "fixed_point": trace.fixed_point,
                    "iterations_used": trace.iterations_used,
                    "final_step_distance": trace.step_distances[-1],
                    "converged": trace.converged}
             for name in ("quantum", "fuzzy")},
-        "agreement_distance": report.agreement_distance,
+        "agreement_distance": agreement[1],
         "fuzzy_condition": condition,
-        "notes": report.notes,
+        "notes": OUT_OF_SCOPE_NOTES,
     }
     inputs = {"map": m, "start": start, "probe_a": probe[0], "probe_b": probe[1],
               "tolerance": args.tol, "max_iterations": args.max_iter,
               "rng_seed": args.seed}
 
     q = f = trace.fixed_point
-    excess = [("interference_excess_quantum", report.interference_excess_quantum),
-              ("interference_excess_fuzzy", report.interference_excess_fuzzy)]
-    agreement = ("agreement_distance", report.agreement_distance)
-    rows = [("key", "value"), *excess, ("quantum_fixed_point_mu", q.mu),
+    rows = [("key", "value"), *excess.items(), ("quantum_fixed_point_mu", q.mu),
             ("quantum_fixed_point_sigma", q.sigma), ("fuzzy_fixed_point_mu", f.mu),
             ("fuzzy_fixed_point_sigma", f.sigma), agreement]
-    table = _kv_table([*excess, ("quantum_fixed_point", f"({q.mu:.12g}, {q.sigma:.12g})"),
+    table = _kv_table([*excess.items(), ("quantum_fixed_point", f"({q.mu:.12g}, {q.sigma:.12g})"),
                        ("fuzzy_fixed_point", f"({f.mu:.12g}, {f.sigma:.12g})"), agreement,
                        ("fuzzy_condition_holds", c.holds)])
-    table += "".join(f"note[{k}]: {v}\n" for k, v in report.notes.items())
+    table += "".join(f"note[{k}]: {v}\n" for k, v in OUT_OF_SCOPE_NOTES.items())
     _render(args, "compare", inputs, result, rows, table)
     return EXIT_OK
 

@@ -2,15 +2,14 @@
 
 The one computable contrast is interference: superposing two normalized
 states adds the cross term 2*<a|b> to the squared norm, while a graded
-membership has no superposition operation and therefore no analogue.  Both
-frameworks are driven by the same affine map.  Under the induced membership
-M(x, y, t) = t/(t + d(x, y)) a fuzzy contraction in the state distance is
-iterated by the same Picard loop as the Banach one, so the two fixed points
-agree by construction; the fuzzy side adds the audit of its contraction
-condition on the pairs that k is estimated on.
+membership has no superposition operation, so its excess is 0 by structure.
+Both frameworks are driven by the same affine map.  Under the induced
+membership M(x, y, t) = t/(t + d(x, y)) a fuzzy contraction in the state
+distance is iterated by the same Picard loop as the Banach one, so the two
+fixed points agree by construction, at distance 0; the fuzzy side adds the
+audit of its contraction condition on the pairs that k is estimated on.
 """
 
-from dataclasses import dataclass
 from typing import Callable
 
 # evaluate, estimate_contraction_factor and sample_state_pairs are not called
@@ -24,7 +23,6 @@ from .solver import (DEFAULT_MAX_ITERATIONS, DEFAULT_REGION, DEFAULT_TOLERANCE,
                      iterate_to_fixed_point, sample_state_pairs)
 
 __all__ = [
-    "FeatureReport",
     "OUT_OF_SCOPE_NOTES",
     "interference_excess",
     "interference_excess_quadrature",
@@ -77,33 +75,20 @@ def gaussian_state_sampler() -> Callable:
     return sample
 
 
-@dataclass(frozen=True)
-class FeatureReport:
-    """Machine-readable feature comparison of the two frameworks."""
-
-    interference_excess_quantum: float
-    interference_excess_fuzzy: float  # structurally zero: no superposition exists
-    agreement_distance: float
-    k_estimate: float  # estimated on the region, unclamped; fuzzy_report.k is the k audited
-    notes: dict[str, str]
-    quantum_report: FixedPointReport
-    fuzzy_report: FuzzyFixedPointReport
-
-
 def build_feature_report(m: AffineGaussianMap, start: GaussianState,
-                         probe_pair: tuple[GaussianState, GaussianState],
                          tolerance: float = DEFAULT_TOLERANCE,
                          max_iterations: int = DEFAULT_MAX_ITERATIONS,
-                         rng_seed: int = 0) -> FeatureReport:
-    """Run the iteration once and assemble both frameworks' view of it.
+                         rng_seed: int = 0
+                         ) -> tuple[FixedPointReport, float, FuzzyFixedPointReport]:
+    """Run the iteration once; return its trace, ``k_estimate`` and the fuzzy report.
 
     The fuzzy contraction in the state distance is the same Picard iteration
-    as the quantum one, so ``quantum_report`` is the one trace of both and
-    ``agreement_distance`` is 0 by identity.  What the fuzzy side adds is
-    fuzzy_fixed_point's condition audit, on the 2000 pairs that
-    estimate_contraction_factor draws from DEFAULT_REGION with this seed:
-    they are measured once, for ``k_estimate`` and for the audit's 16 t values
-    per pair; states are built only for a witness, and no base distance is
+    as the quantum one, so the trace is the one trace of both frameworks.
+    What the fuzzy side adds is fuzzy_fixed_point's condition audit, on the
+    2000 pairs that estimate_contraction_factor draws from DEFAULT_REGION
+    with this seed: they are measured once, for the unclamped ``k_estimate``
+    and for the audit's 16 t values per pair at the clamped ``k`` the report
+    holds; states are built only for a witness, and no base distance is
     called.  Raises NotConvergedError if the iteration exhausts its budget.
     """
     quantum = iterate_to_fixed_point(m, start, tolerance, max_iterations)
@@ -117,12 +102,4 @@ def build_feature_report(m: AffineGaussianMap, start: GaussianState,
     fuzzy = fuzzy_fixed_point(d, d_f, k, lambda i: (
         GaussianState(mu1[i], sg1[i]), GaussianState(mu2[i], sg2[i])), rng_seed)
 
-    return FeatureReport(
-        interference_excess_quantum=interference_excess(*probe_pair),
-        interference_excess_fuzzy=0.0,
-        agreement_distance=0.0,
-        k_estimate=k_raw,
-        notes=dict(OUT_OF_SCOPE_NOTES),
-        quantum_report=quantum,
-        fuzzy_report=fuzzy,
-    )
+    return quantum, k_raw, fuzzy

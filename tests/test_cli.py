@@ -352,8 +352,12 @@ def test_overflowing_parameters_exit_2(capsys, argv):
     ["iterate", "--map", "0.5,0,0.5,0.5", "--start", "4,3", "--tol", "5e-324"],
     # d = 3.5e-324 rounds up to the smallest subnormal
     ["distance", "--a", "0,1", "--b", "5e-324,1"],
+    # d = 3.5e-331 and 3.5e-325 round to 0, which distinct states must not print;
+    # they get the smallest subnormal, within an ulp of the reference 0
+    ["distance", "--a", "1e-200,1e130", "--b", "1.5e-200,1e130"],
+    ["distance", "--a", "0,10", "--b", "5e-324,10", "--format", "json"],
 ])
-def test_states_too_close_to_resolve_exit_2(capsys, argv):
+def test_near_states_are_computed_by_the_cli(capsys, argv):
     """Near states whose squared differences underflow exit 0 with their distance."""
     mpmath = pytest.importorskip("mpmath")
     code = main(argv)
@@ -373,16 +377,27 @@ def test_states_too_close_to_resolve_exit_2(capsys, argv):
     assert abs(got - ref) <= math.ulp(ref)
 
 
+# at width 2e130 the last step, between centres 4e-194 and 4e-195, is about
+# 1.3e-324 and rounds to 0; it is computed as the smallest double, which meets --tol
+SUBNORMAL_STEP = ["--map", "0.1,0,0.5,1e130", "--start", "4,3", "--tol", "5e-324"]
+
+
 @pytest.mark.parametrize("argv", [
-    # d = 3.5e-331 rounds to 0, which distinct states must not print
-    ["distance", "--a", "1e-200,1e130", "--b", "1.5e-200,1e130"],
-    ["distance", "--a", "0,10", "--b", "5e-324,10", "--format", "json"],
+    ["iterate", *SUBNORMAL_STEP, "--format", "json"],
+    ["compare", *SUBNORMAL_STEP],
+    ["audit", "--target", "banach-bounds", *SUBNORMAL_STEP],
 ])
-def test_distinct_states_at_distance_below_the_smallest_double_exit_2(capsys, argv):
-    assert main(argv) == 2
+def test_a_step_below_the_smallest_double_converges(capsys, argv):
+    """A step between distinct states that jumps below 2**-1075 meets any tolerance."""
+    code = main(argv)
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: distinct states at a distance below the smallest double\n"
+    assert code == 0 and captured.err == ""
+    if argv[0] == "iterate":
+        res = json.loads(captured.out)["result"]
+        assert res["converged"] and res["iterations_used"] == 195
+        assert res["step_distances"][-1] == 5e-324
+    if argv[0] == "audit":
+        assert captured.out.endswith("overall: PASS\n")
 
 
 @pytest.mark.parametrize("argv, code, expected", [

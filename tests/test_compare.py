@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from qfixpoint import compare
+from qfixpoint.cli import main
 from qfixpoint.compare import (OUT_OF_SCOPE_NOTES, build_feature_report,
                                gaussian_parameter_metric,
                                interference_excess, interference_excess_quadrature)
@@ -97,26 +99,35 @@ def test_interference_quadrature_is_zero_where_windows_do_not_meet():
 # ------------------------------------------------------------ feature report
 
 @pytest.fixture(scope="module")
-def default_report():
-    return build_feature_report(DEFAULT_MAPS[0], GaussianState(4, 3), PROBE)
+def default_run():
+    return build_feature_report(DEFAULT_MAPS[0], GaussianState(4, 3))
 
 
-def test_feature_report_interference_row(default_report):
-    assert default_report.interference_excess_quantum == pytest.approx(
+def _compare_result(capsys, *argv):
+    """The result of one ``compare --format json`` document."""
+    assert main(["compare", *argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["result"]
+
+
+def test_feature_report_interference_row(capsys):
+    # the compare document takes the quantum excess from the probe pair, and the
+    # fuzzy one is 0: a graded membership has no superposition
+    result = _compare_result(capsys)
+    assert result["interference_excess_quantum"] == interference_excess(*PROBE)
+    assert result["interference_excess_quantum"] == pytest.approx(
         2.0 * math.exp(-0.25), abs=1e-12)
-    assert default_report.interference_excess_fuzzy == 0.0
+    assert result["interference_excess_fuzzy"] == 0
 
 
-def test_feature_report_frameworks_agree(default_report):
-    q = default_report.quantum_report
+def test_feature_report_frameworks_agree(default_run):
+    q, _, _ = default_run
     assert q.converged
-    assert default_report.agreement_distance <= 1e-11
     assert state_distance(q.fixed_point, analytic_fixed_point(DEFAULT_MAPS[0])) < 1e-10
 
 
-def test_feature_report_condition_audit_clean(default_report):
+def test_feature_report_condition_audit_clean(default_run):
     # the audited factor comes from the same sampled pairs, so no violations
-    assert default_report.fuzzy_report.condition.holds
+    assert default_run[2].condition.holds
 
 
 # the constant map estimates k = 0; the last map expands the state distance,
@@ -125,13 +136,13 @@ def test_feature_report_condition_audit_clean(default_report):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_feature_report_condition_audit_equals_generic_audit(m, seed):
     start = GaussianState(4, 3)
-    report = build_feature_report(m, start, PROBE, rng_seed=seed)
-    got = report.fuzzy_report.condition
+    _, _, fuzzy = build_feature_report(m, start, rng_seed=seed)
+    got = fuzzy.condition
     # the same pairs, measured one by one with the scalar distance kernel
     pairs = sample_state_pairs(DEFAULT_REGION, 2000, np.random.default_rng(seed))
     d = np.array([state_distance(x, y) for x, y in pairs])
     d_f = np.array([state_distance(apply_map(m, x), apply_map(m, y)) for x, y in pairs])
-    want = fuzzy_fixed_point(d, d_f, report.fuzzy_report.k, pairs.__getitem__, seed).condition
+    want = fuzzy_fixed_point(d, d_f, fuzzy.k, pairs.__getitem__, seed).condition
     assert (got.samples, got.violations, got.holds) == (want.samples, want.violations,
                                                         want.holds)
     # the array distances differ from the scalar kernel's by at most a few
@@ -150,7 +161,7 @@ def test_feature_report_condition_audit_equals_generic_audit(m, seed):
 
 def test_feature_report_comes_from_the_traced_fuzzy_fixed_point(monkeypatch):
     # build_feature_report looks fuzzy_fixed_point up on the compare module,
-    # the name a tracer wraps, and reports what that call returned
+    # the name a tracer wraps, and returns what that call returned
     returned = []
 
     def counting(*args, **kwargs):
@@ -158,17 +169,17 @@ def test_feature_report_comes_from_the_traced_fuzzy_fixed_point(monkeypatch):
         return returned[-1]
 
     monkeypatch.setattr(compare, "fuzzy_fixed_point", counting)
-    report = build_feature_report(DEFAULT_MAPS[0], GaussianState(4, 3), PROBE)
+    _, _, fuzzy = build_feature_report(DEFAULT_MAPS[0], GaussianState(4, 3))
     assert len(returned) == 1
-    assert report.fuzzy_report is returned[0]
+    assert fuzzy is returned[0]
 
 
 @pytest.mark.parametrize("m", [*DEFAULT_MAPS, AffineGaussianMap(0.95, 0.0, 0.3, 0.2)])
 def test_feature_report_k_estimate_is_the_estimator_on_the_audited_sample(m):
     # the report measures its sampled pairs once, for k_estimate and the audit
     for seed in range(10):
-        report = build_feature_report(m, GaussianState(4, 3), PROBE, rng_seed=seed)
-        assert report.k_estimate == estimate_contraction_factor(m, DEFAULT_REGION, 2000, seed)
+        _, k_estimate, _ = build_feature_report(m, GaussianState(4, 3), rng_seed=seed)
+        assert k_estimate == estimate_contraction_factor(m, DEFAULT_REGION, 2000, seed)
 
 
 def test_feature_report_runs_the_iteration_once(monkeypatch):
@@ -183,38 +194,37 @@ def test_feature_report_runs_the_iteration_once(monkeypatch):
         return dataclasses.replace(fm, base_distance=counted)
 
     monkeypatch.setattr(compare, "gaussian_parameter_metric", counting_metric)
-    report = build_feature_report(DEFAULT_MAPS[0], GaussianState(4, 3), PROBE)
+    _, _, fuzzy = build_feature_report(DEFAULT_MAPS[0], GaussianState(4, 3))
     assert calls == []
-    assert report.fuzzy_report.condition.samples == 2000 * T_SAMPLES
-    assert report.agreement_distance == 0.0
+    assert fuzzy.condition.samples == 2000 * T_SAMPLES
 
 
-def test_feature_report_notes_are_textual(default_report):
-    assert default_report.notes == OUT_OF_SCOPE_NOTES
+def test_feature_report_notes_are_textual(capsys):
+    # compare prints the module's notes, and printing leaves them as they were
+    before = dict(OUT_OF_SCOPE_NOTES)
+    assert _compare_result(capsys)["notes"] == OUT_OF_SCOPE_NOTES == before
     for key in ("completeness", "phase_sensitivity", "topological_protection",
                 "conservation_laws"):
-        assert isinstance(default_report.notes[key], str)
+        assert isinstance(OUT_OF_SCOPE_NOTES[key], str)
 
 
 def test_identical_probe_gives_excess_two():
-    report = build_feature_report(DEFAULT_MAPS[0], GaussianState(4, 3),
-                                  (GaussianState(0, 1), GaussianState(0, 1)))
-    assert report.interference_excess_quantum == 2.0
+    s = GaussianState(0, 1)
+    assert interference_excess(s, s) == 2.0
 
 
-def test_far_probe_frameworks_agree_on_zero():
-    report = build_feature_report(DEFAULT_MAPS[0], GaussianState(4, 3),
-                                  (GaussianState(0, 1), GaussianState(100, 1)))
+def test_far_probe_frameworks_agree_on_zero(capsys):
+    result = _compare_result(capsys, "--probe-a", "0,1", "--probe-b", "100,1")
     # exp(-100**2/4) underflows, so the closed-form overlap is 0.0 exactly
     assert overlap_closed_form(GaussianState(0, 1), GaussianState(100, 1)) == 0.0
-    assert report.interference_excess_quantum == 0.0
-    assert report.interference_excess_fuzzy == 0.0
+    assert result["interference_excess_quantum"] == 0
+    assert result["interference_excess_fuzzy"] == result["agreement_distance"] == 0
 
 
 def test_build_feature_report_propagates_non_convergence():
     slow = AffineGaussianMap(0.99999, 0.0, 0.5, 0.5)
     with pytest.raises(NotConvergedError):
-        build_feature_report(slow, GaussianState(4, 3), PROBE, max_iterations=10)
+        build_feature_report(slow, GaussianState(4, 3), max_iterations=10)
 
 
 CARRIER_MAPS = (*DEFAULT_MAPS, AffineGaussianMap(0.99, 0.0, 0.99, 0.05),
@@ -223,11 +233,11 @@ CARRIER_MAPS = (*DEFAULT_MAPS, AffineGaussianMap(0.99, 0.0, 0.99, 0.05),
 
 def test_fuzzy_iteration_on_state_carrier_matches_quantum():
     # the fuzzy contraction in the state distance is the quantum iteration, so
-    # the report holds one trace for both: the solver's, Banach quantities included
+    # one trace serves both: the solver's, Banach quantities included
     for m in CARRIER_MAPS:
         for start in DEFAULT_STARTS:
-            report = build_feature_report(m, start, PROBE)
-            assert report.quantum_report == iterate_to_fixed_point(m, start), (m, start)
+            trace, _, _ = build_feature_report(m, start)
+            assert trace == iterate_to_fixed_point(m, start), (m, start)
             if m in DEFAULT_MAPS:
                 fp = analytic_fixed_point(m)
-                assert state_distance(report.quantum_report.fixed_point, fp) < 1e-10
+                assert state_distance(trace.fixed_point, fp) < 1e-10

@@ -156,11 +156,7 @@ def test_analytic_fixed_point_solves_recursion():
 def test_analytic_fixed_point_is_fixed(m):
     fp = analytic_fixed_point(m)
     out = apply_map(m, fp)
-    try:
-        assert state_distance(out, fp) < 1e-13
-    except ValueError:
-        # refused only for distinct states whose distance rounds to 0
-        assert out != fp and max(abs(out.mu - fp.mu), abs(out.sigma - fp.sigma)) < 1e-300
+    assert state_distance(out, fp) < 1e-13
 
 
 # -------------------------------------------------------- contraction factor
