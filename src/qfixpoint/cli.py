@@ -12,8 +12,7 @@ import functools
 import json
 import math
 import sys
-from itertools import chain, zip_longest
-from operator import attrgetter
+from itertools import chain
 
 from .compare import (OUT_OF_SCOPE_NOTES, build_feature_report, gaussian_parameter_metric,
                       gaussian_state_sampler, interference_excess)
@@ -47,31 +46,12 @@ SIZE_LIMITS = {"--panels": 2**20, "--resolution": 101, "--samples": 10**6,
 _scalar = functools.lru_cache(maxsize=1024, typed=True)(json.dumps)
 
 
-@functools.lru_cache(maxsize=64)
-def _item_format(kind):
-    """Template and field getter for one item of a run of ``kind``; no template if none."""
-    if kind is float:
-        return "%.17g", None
-    names = [f.name for f in dataclasses.fields(kind)] if dataclasses.is_dataclass(kind) else ()
-    if len(names) < 2:  # attrgetter of one name returns the value, not a tuple
-        return None, None
-    return "{" + ", ".join(f"{_scalar(n)}: %.17g" for n in names) + "}", attrgetter(*names)
-
-
 def _run(values):
-    """``values`` as json items in one ``%`` call, or None to go value by value.
-
-    Covers finite floats and one dataclass type of finite floats (iterates).
-    """
-    kinds = set(map(type, values))
-    template, getter = _item_format(kinds.pop()) if len(kinds) == 1 else (None, None)
-    if template is None:
-        return None
-    flat = tuple(values if getter is None else chain.from_iterable(map(getter, values)))
+    """``values``, if all are finite floats, as json items in one ``%`` call; else None."""
     # NaN and inf make the sum non-finite; an overflowing sum only costs speed
-    if set(map(type, flat)) != {float} or not math.isfinite(sum(flat)):
+    if set(map(type, values)) != {float} or not math.isfinite(sum(values)):
         return None
-    return ", ".join([template] * len(values)) % flat
+    return ", ".join(["%.17g"] * len(values)) % tuple(values)
 
 
 def _json(value) -> str:
@@ -86,7 +66,8 @@ def _json(value) -> str:
         return "{" + ", ".join(f"{_scalar(k)}: {_json(v)}" for k, v in value.items()) + "}"
     if dataclasses.is_dataclass(value):
         return _json({f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
-    return _scalar(value)
+    # a function stands for json text that is rendered only when a document needs it
+    return value() if callable(value) else _scalar(value)
 
 
 @functools.lru_cache(maxsize=64)
@@ -107,7 +88,9 @@ def _render(args, command: str, inputs: dict, result: dict, rows, table: str) ->
         text = _json({"command": command, "inputs": inputs, "result": result,
                       "version": SCHEMA_VERSION}) + "\n"
     elif args.format == "csv":
-        text = "".join(_csv_template(tuple(map(type, row))) % tuple(row) for row in rows)
+        # a function renders the whole csv text in one call
+        text = rows() if callable(rows) else "".join(
+            _csv_template(tuple(map(type, row))) % tuple(row) for row in rows)
     else:
         text = table
     if args.out:
@@ -167,19 +150,30 @@ def _cmd_iterate(args) -> int:
     start = _parse(args.start, "--start", GaussianState)
 
     report = iterate_to_fixed_point(m, start, args.tol, args.max_iter)
+    mus, sigmas, steps, bounds = (report.mus, report.sigmas, report.step_distances,
+                                  report.a_priori_bounds)
+    n = len(steps)  # iterate n, the last, has no step
+
+    # each renders the whole trace in one % call; the loop refused non-finite iterates
+    def iterates():
+        flat = tuple(chain.from_iterable(zip(mus, sigmas)))
+        return "[" + ", ".join(['{"mu": %.17g, "sigma": %.17g}'] * (n + 1)) % flat + "]"
+
+    def csv():
+        # bounds are empty when no contraction factor below 1 was observed, and
+        # then every row leaves that field empty
+        columns = (range(n), mus, sigmas, steps, *([bounds] if bounds else []))
+        end = "%.17g\n" if bounds else "\n"
+        template = "n,mu,sigma,step_distance,a_priori_bound\n" + (
+            "%d,%.17g,%.17g,%.17g," + end) * n + "%d,%.17g,%.17g,," + end
+        return template % (*chain.from_iterable(zip(*columns)), n, mus[n], sigmas[n],
+                           *bounds[n:])
+
     inputs = {"map": m, "start": start, "tolerance": args.tol,
               "max_iterations": args.max_iter}
-    result = {key: getattr(report, key) for key in (
-        "converged", "iterations_used", "k_estimate", "fixed_point", "iterates",
-        "step_distances", "a_priori_bounds")}
-
-    def rows():
-        yield "n", "mu", "sigma", "step_distance", "a_priori_bound"
-        # the last iterate has no step, and bounds are empty when k >= 1
-        trace = zip_longest(report.iterates, report.step_distances,
-                            report.a_priori_bounds, fillvalue="")
-        for n, (it, step, bound) in enumerate(trace):
-            yield n, it.mu, it.sigma, step, bound
+    result = {"converged": report.converged, "iterations_used": report.iterations_used,
+              "k_estimate": report.k_estimate, "fixed_point": report.fixed_point,
+              "iterates": iterates, "step_distances": steps, "a_priori_bounds": bounds}
 
     fp = report.fixed_point
     table = _kv_table([("converged", report.converged),
@@ -187,7 +181,7 @@ def _cmd_iterate(args) -> int:
                        ("fixed_point_mu", fp.mu), ("fixed_point_sigma", fp.sigma),
                        ("k_estimate", report.k_estimate),
                        ("final_step_distance", report.step_distances[-1])])
-    _render(args, "iterate", inputs, result, rows(), table)
+    _render(args, "iterate", inputs, result, csv, table)
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 

@@ -123,12 +123,15 @@ def overlap_closed_form(a: GaussianState, b: GaussianState) -> float:
     about 1e-8 widths apart too, and to 0.0 as for (0, 1) and (100, 1).  Raises
     ZeroDivisionError where sigma_a*sigma_b is below the smallest normal double.
     """
-    dmu2, ss = _squares(a, b)
+    dmu = a.mu - b.mu
+    ss = a.sigma * a.sigma + b.sigma * b.sigma
+    if 2.0 * ss == math.inf:  # refused as in _pair_distance
+        raise OverflowError("2*(sigma_a**2 + sigma_b**2) overflows")
     if a.sigma * b.sigma < sys.float_info.min:
         raise ZeroDivisionError("sigma_a*sigma_b underflows")
     # grouping keeps the result bitwise symmetric under argument swap
     pref = math.sqrt(2.0 * (a.sigma * b.sigma) / ss)
-    return pref * math.exp(-dmu2 / (2.0 * ss))
+    return pref * math.exp(-(dmu * dmu) / (2.0 * ss))
 
 
 # doubles in the quadrature work buffer: 512 KiB, so it stays in L2
@@ -248,22 +251,6 @@ def overlap_quadrature(a: GaussianState, b: GaussianState,
     return float(overlap_quadrature_many(a.mu, a.sigma, b.mu, b.sigma, cfg)[0])
 
 
-def _squares(a: GaussianState, b: GaussianState) -> tuple[float, float]:
-    """(mu_a - mu_b)**2 and ss = sigma_a**2 + sigma_b**2, refused where 2*ss overflows.
-
-    Both closed forms divide the squared centre separation by 2*ss; at inf
-    that exponent rounds to 0, and distinct states would come out at
-    distance 0 with overlap 1 or NaN; an infinite (mu_a - mu_b)**2 is exact
-    there, at overlap 0.  Squares are products, as numpy's are: Python's
-    ``**`` goes through libm ``pow``, which can round differently.
-    """
-    dmu = a.mu - b.mu
-    ss = a.sigma * a.sigma + b.sigma * b.sigma
-    if 2.0 * ss == math.inf:
-        raise OverflowError("2*(sigma_a**2 + sigma_b**2) overflows")
-    return dmu * dmu, ss
-
-
 def _distance(xp, dmu2, dsigma, sab, ss):
     """sqrt(2 - 2*<a|b>) from (mu_a - mu_b)**2, sigma_a - sigma_b, sigma_a*sigma_b, ss.
 
@@ -296,6 +283,31 @@ def _near_distance(dmu, dsigma, sab, ss):
     return d if d or not (dmu or dsigma) else math.ulp(0.0)
 
 
+def _pair_distance(mu_a, sigma_a, mu_b, sigma_b) -> float:
+    """:func:`state_distance` of the states (mu_a, sigma_a) and (mu_b, sigma_b).
+
+    Both closed forms divide the squared centre separation by 2*ss, so where
+    2*ss overflows they are refused: at inf that exponent rounds to 0, and
+    distinct states would come out at distance 0 with overlap 1 or NaN; an
+    infinite (mu_a - mu_b)**2 is exact there, at overlap 0.  Squares are
+    products, as numpy's are: Python's ``**`` goes through libm ``pow``, which
+    can round differently.
+    """
+    dmu = mu_a - mu_b
+    ss = sigma_a * sigma_a + sigma_b * sigma_b
+    if 2.0 * ss == math.inf:
+        raise OverflowError("2*(sigma_a**2 + sigma_b**2) overflows")
+    dsigma, sab = sigma_a - sigma_b, sigma_a * sigma_b
+    d = _distance(math, dmu * dmu, dsigma, sab, ss)
+    # d*d*min(ss, 1.0) as two comparisons, which cost less than the call of min;
+    # d*d < 2.1, so every pair whose ss is subnormal takes this branch
+    if d * d < _RESOLVED_SQ or d * d * ss < _RESOLVED_SQ:
+        if ss < sys.float_info.min:
+            raise ZeroDivisionError("sigma_a**2 + sigma_b**2 underflows")
+        return _near_distance(dmu, dsigma, sab, ss)
+    return d
+
+
 def state_distance(a: GaussianState, b: GaussianState) -> float:
     """L2 distance between two states, d = sqrt(2 - 2*<a|b>).
 
@@ -307,15 +319,7 @@ def state_distance(a: GaussianState, b: GaussianState) -> float:
     pairs within 2**-1075 get 5e-324.  Raises ZeroDivisionError where ss =
     sigma_a**2 + sigma_b**2 is subnormal, and OverflowError where 2*ss overflows.
     """
-    dmu2, ss = _squares(a, b)
-    d = _distance(math, dmu2, a.sigma - b.sigma, a.sigma * b.sigma, ss)
-    # d*d*min(ss, 1.0) as two comparisons, which cost less than the call of min;
-    # d*d < 2.1, so every pair whose ss is subnormal takes this branch
-    if d * d < _RESOLVED_SQ or d * d * ss < _RESOLVED_SQ:
-        if ss < sys.float_info.min:
-            raise ZeroDivisionError("sigma_a**2 + sigma_b**2 underflows")
-        return _near_distance(a.mu - b.mu, a.sigma - b.sigma, a.sigma * b.sigma, ss)
-    return d
+    return _pair_distance(a.mu, a.sigma, b.mu, b.sigma)
 
 
 def distance_from_params(mu1, sigma1, mu2, sigma2):

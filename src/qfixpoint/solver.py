@@ -4,16 +4,19 @@ A map acts on state parameters as (mu, sigma) -> (mu_scale*mu + mu_shift,
 sigma_scale*sigma + sigma_shift).  With |mu_scale| < 1, 0 <= sigma_scale < 1
 and sigma_shift > 0 the map sends valid states to valid states and has the
 unique parameter fixed point (mu_shift/(1-mu_scale), sigma_shift/(1-sigma_scale)).
-The iteration records per-step state distances, an empirical contraction
-factor and the geometric error bounds at it.  estimate_contraction_factor
-returns the largest sampled ratio: a lower bound on the region's sup ratio.
+The iteration runs on the parameter floats and records them as two columns,
+with per-step state distances, an empirical contraction factor and the
+geometric error bounds at it; the fixed point is the one state it builds.
+estimate_contraction_factor returns the largest sampled ratio: a lower
+bound on the region's sup ratio.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
 
-from .gaussian import SQRT2, GaussianState, ParameterBox, distance_from_params, state_distance
+from .gaussian import (SQRT2, GaussianState, ParameterBox, _pair_distance, distance_from_params,
+                       state_distance)
 from .reports import AxiomAuditReport, check
 
 __all__ = [
@@ -71,20 +74,28 @@ class AffineGaussianMap:
 class FixedPointReport:
     """Full trace of one fixed-point iteration.
 
+    Iterate n is the state (``mus[n]``, ``sigmas[n]``), start first;
     ``step_distances[n]`` is the state distance between iterates n+1 and n;
     ``k_estimate`` is the largest ratio of consecutive step distances (steps
-    below RATIO_FLOOR skipped); ``a_priori_bounds[n]`` is the geometric tail
-    bound k^n/(1-k) * step_distances[0] on the distance from iterate n to the
-    limit, empty when no contraction factor below 1 was observed.
+    below RATIO_FLOOR skipped), 0.0 when no ratio was observed;
+    ``a_priori_bounds[n]`` is the geometric tail bound k^n/(1-k) *
+    step_distances[0] on the distance from iterate n to the limit, empty when
+    no ratio or no contraction factor below 1 was observed.
     """
 
-    iterates: tuple[GaussianState, ...]
+    mus: tuple[float, ...]
+    sigmas: tuple[float, ...]
     step_distances: tuple[float, ...]
     k_estimate: float
     a_priori_bounds: tuple[float, ...]
     fixed_point: GaussianState
     converged: bool
     iterations_used: int
+
+    @property
+    def iterates(self) -> tuple[GaussianState, ...]:
+        """The trace as states, built on each access; only bench/tracing.py reads it."""
+        return tuple(map(GaussianState, self.mus, self.sigmas))
 
 
 # Default contraction family exercised by the test suite.  Each map keeps
@@ -173,28 +184,35 @@ def iterate_to_fixed_point(m: AffineGaussianMap, start: GaussianState,
         raise ValueError("tolerance must be positive")
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
-    iterates = [start]
-    steps: list[float] = []
-    # module globals, looked up per step, so a wrapper set on them sees each call
+    a, b, c, e = m.mu_scale, m.mu_shift, m.sigma_scale, m.sigma_shift
+    mu, sigma = start.mu, start.sigma
+    mus, sigmas, steps = [mu], [sigma], []
     for _ in range(max_iterations):
-        nxt = apply_map(m, iterates[-1])
-        steps.append(state_distance(nxt, iterates[-1]))
-        iterates.append(nxt)
+        # apply_map's arithmetic on the floats
+        nmu, nsigma = a * mu + b, c * sigma + e
+        if not (math.isfinite(nmu) and math.isfinite(nsigma)):
+            GaussianState(nmu, nsigma)  # raises the state's own error
+        # a module global, looked up per step, so a wrapper set on it sees each call
+        steps.append(_pair_distance(nmu, nsigma, mu, sigma))
+        mu, sigma = nmu, nsigma
+        mus.append(mu)
+        sigmas.append(sigma)
         if steps[-1] <= tolerance:
             break
 
-    ratios = [steps[n] / steps[n - 1] for n in range(1, len(steps))
-              if steps[n - 1] > RATIO_FLOOR]
-    k = max(ratios) if ratios else 0.0
+    ratios = [s / prev for prev, s in zip(steps, steps[1:]) if prev > RATIO_FLOOR]
+    k = max(ratios, default=0.0)
     s0 = steps[0]
-    bounds = tuple(k**n / (1.0 - k) * s0 for n in range(len(iterates))) if k < 1.0 else ()
+    # with no ratio observed, k = 0 bounds nothing
+    bounds = tuple(k**n / (1.0 - k) * s0 for n in range(len(mus))) if ratios and k < 1.0 else ()
 
     return FixedPointReport(
-        iterates=tuple(iterates),
+        mus=tuple(mus),
+        sigmas=tuple(sigmas),
         step_distances=tuple(steps),
         k_estimate=k,
         a_priori_bounds=bounds,
-        fixed_point=iterates[-1],
+        fixed_point=GaussianState(mu, sigma),
         # the loop breaks exactly when a step meets the tolerance
         converged=steps[-1] <= tolerance,
         iterations_used=len(steps),
@@ -210,16 +228,18 @@ def verify_banach_bounds(report: FixedPointReport, k: float) -> AxiomAuditReport
     """
     if not 0.0 <= k < 1.0:
         raise ValueError("k must satisfy 0 <= k < 1")
-    if len(report.iterates) < 2:
+    if len(report.mus) < 2:
         raise ValueError("report must contain at least 2 iterates")
 
     steps = report.step_distances
     s0 = steps[0]
-    powers = [k**n for n in range(len(report.iterates))]
+    powers = [k**n for n in range(len(report.mus))]
     tail = 1.0 / (1.0 - k)
     step_bound = [p * s0 + 1e-12 for p in powers[:len(steps)]]
     tail_bound = [p * tail * s0 + 1e-12 for p in powers]
-    dist = [state_distance(it, report.fixed_point) for it in report.iterates]
+    fp = report.fixed_point
+    dist = [_pair_distance(mu, sigma, fp.mu, fp.sigma)
+            for mu, sigma in zip(report.mus, report.sigmas)]
     return AxiomAuditReport(target="banach-bounds", checks=(
         check("geometric_step_bound", [s > b for s, b in zip(steps, step_bound)],
               lambda n: {"n": n, "step_distance": steps[n], "bound": step_bound[n]},

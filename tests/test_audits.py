@@ -43,13 +43,14 @@ def test_check_witnesses_the_first_failure_in_row_major_order():
 #
 # The audits as they were before they took their witnesses from failure
 # masks, kept verbatim apart from the report's passed= argument, which the
-# report now derives from its checks, and NotConvergedError's report=, which
-# the exception no longer takes.
+# report now derives from its checks, NotConvergedError's report=, which the
+# exception no longer takes, and the trace, which the report now holds as
+# float columns.
 
 def _reference_banach_bounds(report, k, slack=1e-12):
     if not 0.0 <= k < 1.0:
         raise ValueError("k must satisfy 0 <= k < 1")
-    if len(report.iterates) < 2:
+    if len(report.mus) < 2:
         raise ValueError("report must contain at least 2 iterates")
 
     steps = report.step_distances
@@ -68,14 +69,14 @@ def _reference_banach_bounds(report, k, slack=1e-12):
 
     witness = None
     tail = 1.0 / (1.0 - k)
-    for n, it in enumerate(report.iterates):
+    for n, (mu, sigma) in enumerate(zip(report.mus, report.sigmas)):
         bound = k**n * tail * s0 + slack
-        dist = state_distance(it, report.fixed_point)
+        dist = state_distance(GaussianState(mu, sigma), report.fixed_point)
         if dist > bound:
             witness = {"n": n, "distance_to_fixed_point": dist, "bound": bound}
             break
     checks.append(AuditCheck(name="geometric_tail_bound", passed=witness is None,
-                             checked=len(report.iterates), witness=witness,
+                             checked=len(report.mus), witness=witness,
                              detail="d(iterate[n], fixed_point) <= k^n/(1-k) * step[0] + slack"))
 
     return AxiomAuditReport(target="banach-bounds", checks=tuple(checks))
@@ -323,7 +324,8 @@ def _metric_case(monkeypatch):
 def _banach_case(monkeypatch):
     trace = iterate_to_fixed_point(DEFAULT_MAPS[0], DEFAULT_STARTS[0])
     k, s0 = 0.1, trace.step_distances[0]
-    dist = [state_distance(it, trace.fixed_point) for it in trace.iterates]
+    dist = [state_distance(GaussianState(mu, sigma), trace.fixed_point)
+            for mu, sigma in zip(trace.mus, trace.sigmas)]
     return verify_banach_bounds(trace, k), {
         "geometric_step_bound": ([step > k**n * s0 + SLACK
                                   for n, step in enumerate(trace.step_distances)],

@@ -1,20 +1,22 @@
 """The CLI renderers against verbatim copies of the value-by-value ones.
 
-``cli._json`` formats a run of floats, or of one dataclass type holding
-floats, with one ``%`` call, and the csv output formats each row with one
-template.  Both must print exactly what rendering each value on its own
-printed, and refuse NaN and inf in json the same way.
+``cli._json`` formats a run of floats with one ``%`` call, the csv output
+formats each row with one template, and ``iterate`` renders its whole trace,
+json and csv, in one call each.  All must print exactly what rendering each
+value on its own printed, and refuse NaN and inf in json the same way.
 """
 
 import contextlib
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import types
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -151,11 +153,49 @@ def test_json_refuses_nan_and_inf_as_before(document, bad, data):
 
 
 def test_a_trace_renders_its_iterates_in_one_call():
+    # the iterates are the columns mus and sigmas
     report = iterate_to_fixed_point(AffineGaussianMap(0.5, 0.0, 0.5, 0.5),
                                     GaussianState(4.0, 3.0))
-    for run in (report.iterates, report.step_distances, report.a_priori_bounds):
+    for run in (report.mus, report.sigmas, report.step_distances, report.a_priori_bounds):
         assert cli._run(run) is not None
     assert cli._json(report) == _json(report)
+
+
+# (map, start, tolerance, max_iterations): a trace with bounds, a k >= 1 trace
+# (no bounds), a trace whose steps go subnormal, and a one-step trace (no ratio)
+TRACES = [
+    ((0.5, 0.0, 0.5, 0.5), (4.0, 3.0), 1e-12, 10000),
+    ((0.5, 0.0, 0.5, 0.5), (1e300, 3.0), 1e-12, 10000),
+    ((0.1, 0.0, 0.5, 1e130), (4.0, 3.0), 5e-324, 10000),
+    ((0.5, 0.0, 0.5, 1.0), (0.5, 2.0), 1e-12, 1),
+]
+
+
+@pytest.mark.parametrize("m, start, tolerance, max_iterations", TRACES)
+def test_iterate_renders_its_trace_as_value_by_value(capsys, m, start, tolerance,
+                                                     max_iterations):
+    argv = ["iterate", "--map=" + ",".join(map(repr, m)), "--start=" + ",".join(map(repr, start)),
+            "--tol", repr(tolerance), "--max-iter", str(max_iterations)]
+    m, start = AffineGaussianMap(*m), GaussianState(*start)
+    r = iterate_to_fixed_point(m, start, tolerance, max_iterations)
+    printed = {}
+    for fmt in ("json", "csv"):
+        cli.main([*argv, "--format", fmt])
+        printed[fmt] = capsys.readouterr().out
+
+    result = {"converged": r.converged, "iterations_used": r.iterations_used,
+              "k_estimate": r.k_estimate, "fixed_point": r.fixed_point,
+              "iterates": list(map(GaussianState, r.mus, r.sigmas)),
+              "step_distances": r.step_distances, "a_priori_bounds": r.a_priori_bounds}
+    inputs = {"map": m, "start": start, "tolerance": tolerance,
+              "max_iterations": max_iterations}
+    assert printed["json"] == _json({"command": "iterate", "inputs": inputs, "result": result,
+                                     "version": 1}) + "\n"
+    trace = itertools.zip_longest(r.mus, r.sigmas, r.step_distances, r.a_priori_bounds,
+                                  fillvalue="")
+    rows = [("n", "mu", "sigma", "step_distance", "a_priori_bound"),
+            *((n, *row) for n, row in enumerate(trace))]
+    assert printed["csv"] == reference_csv(rows)
 
 
 def test_percent_g17_matches_format_on_random_bit_patterns():

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfixpoint import solver
@@ -248,10 +248,106 @@ def test_iterate_trace_carries_the_banach_quantities():
     for m in DEFAULT_MAPS:
         report = iterate_to_fixed_point(m, GaussianState(4, 3))
         k, s0 = report.k_estimate, report.step_distances[0]
-        assert len(report.a_priori_bounds) == len(report.iterates)
-        for n, (it, bound) in enumerate(zip(report.iterates, report.a_priori_bounds)):
+        assert len(report.a_priori_bounds) == len(report.mus)
+        trace = zip(report.mus, report.sigmas, report.a_priori_bounds)
+        for n, (mu, sigma, bound) in enumerate(trace):
             assert bound == k**n / (1.0 - k) * s0
-            assert state_distance(it, report.fixed_point) <= bound + 1e-12
+            assert state_distance(GaussianState(mu, sigma), report.fixed_point) <= bound + 1e-12
+
+
+def _reference_trace(m, start, tolerance, max_iterations):
+    """The Picard loop on states: apply_map, GaussianState and state_distance per step.
+
+    Its bounds are empty when no step ratio was observed, as the report's are.
+    """
+    iterates, steps = [start], []
+    for _ in range(max_iterations):
+        nxt = apply_map(m, iterates[-1])
+        steps.append(state_distance(nxt, iterates[-1]))
+        iterates.append(nxt)
+        if steps[-1] <= tolerance:
+            break
+    ratios = [steps[n] / steps[n - 1] for n in range(1, len(steps))
+              if steps[n - 1] > solver.RATIO_FLOOR]
+    k = max(ratios) if ratios else 0.0
+    bounds = (tuple(k**n / (1.0 - k) * steps[0] for n in range(len(iterates)))
+              if ratios and k < 1.0 else ())
+    return ([it.mu for it in iterates], [it.sigma for it in iterates], steps, [k], bounds,
+            [len(steps)], [steps[-1] <= tolerance])
+
+
+def _reprs(columns):
+    """Each float by its shortest round-trip repr, which tells -0.0 from 0.0."""
+    return [list(map(repr, column)) for column in columns]
+
+
+def _outcome(run):
+    try:
+        return _reprs(run())
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# centres and widths over the whole double range, so that some runs overflow
+# to inf (ValueError) or overflow 2*ss (OverflowError), underflow ss
+# (ZeroDivisionError) or take subnormal steps; most stay in range
+scales = st.floats(-0.999, 0.999) | st.sampled_from([0.0, -0.0, 1e-200, 0.1, 0.5, 0.99])
+magnitudes = (st.floats(0.01, 100.0) | st.floats(0.01, 100.0) | st.floats(1e-170, 1e170)
+              | st.sampled_from([5e-324, 1e-160, 1e-100, 1e100, 1e130, 1e154, 1e300]))
+centres = (st.floats(-10.0, 10.0) | st.floats(-1e308, 1e308) | magnitudes
+           | magnitudes.map(lambda x: -x) | st.sampled_from([1e-13, 1e308, -1e308]))
+wide_maps = st.builds(AffineGaussianMap, mu_scale=scales, mu_shift=centres,
+                      sigma_scale=st.floats(0.0, 0.999) | st.sampled_from([0.0, 0.5]),
+                      sigma_shift=magnitudes)
+wide_states = st.builds(GaussianState, mu=centres, sigma=magnitudes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_maps, wide_states, st.sampled_from([1e-12, 5e-324, 1e-3, 1.0]),
+       st.integers(1, 400))
+@example(AffineGaussianMap(1e-200, 0, 0, 1), GaussianState(4, 3), 1e-12, 10000)
+@example(AffineGaussianMap(0.1, 0, 0.5, 1e130), GaussianState(4, 3), 5e-324, 10000)
+@example(AffineGaussianMap(0.5, 0, 0.5, 0.5), GaussianState(1e300, 3), 1e-12, 10000)
+@example(AffineGaussianMap(0.5, 0, 0.5, 1e-100), GaussianState(0, 1e100), 1e-12, 10000)
+@example(AffineGaussianMap(0.5, 0, 0.5, 1), GaussianState(0.5, 2), 1e-12, 1)
+@example(AffineGaussianMap(0.5, 1e308, 0.5, 1), GaussianState(1e308, 1), 1e-12, 10)
+@example(AffineGaussianMap(0.5, 0, 0.5, 1e154), GaussianState(0, 1), 1e-12, 10)
+@example(AffineGaussianMap(0.5, 0, 0.5, 1e-170), GaussianState(0, 1e-160), 1e-12, 10)
+def test_float_trace_matches_the_state_loop_bit_for_bit(m, start, tolerance, max_iterations):
+    def float_trace():
+        r = iterate_to_fixed_point(m, start, tolerance, max_iterations)
+        assert (r.fixed_point.mu, r.fixed_point.sigma) == (r.mus[-1], r.sigmas[-1])
+        return (r.mus, r.sigmas, r.step_distances, [r.k_estimate], r.a_priori_bounds,
+                [r.iterations_used], [r.converged])
+
+    assert _outcome(float_trace) == _outcome(
+        lambda: _reference_trace(m, start, tolerance, max_iterations))
+
+
+def test_float_trace_errors_are_the_state_loops():
+    # an iterate overflows to inf, and 2*ss overflows with finite widths
+    with pytest.raises(ValueError, match="state parameters must be finite"):
+        iterate_to_fixed_point(AffineGaussianMap(0.5, 1e308, 0.5, 1), GaussianState(1e308, 1))
+    with pytest.raises(OverflowError, match="overflows"):
+        iterate_to_fixed_point(AffineGaussianMap(0.5, 0, 0.5, 1e154), GaussianState(0, 1))
+
+
+def test_a_trace_without_a_step_ratio_has_no_bounds():
+    # one step, and a converged run whose only step is below RATIO_FLOOR: k = 0
+    # observes nothing, so it bounds nothing
+    for start, max_iterations in (((0.5, 2), 1), ((1e-13, 2), 10000)):
+        report = iterate_to_fixed_point(AffineGaussianMap(0.5, 0, 0.5, 1),
+                                        GaussianState(*start), max_iterations=max_iterations)
+        assert report.k_estimate == 0.0 and report.a_priori_bounds == ()
+    # the constant map observes the ratio 0/s0 and keeps its bounds
+    report = iterate_to_fixed_point(MAP_CONSTANT, GaussianState(9, 9))
+    assert report.k_estimate == 0.0
+    assert report.a_priori_bounds == (report.step_distances[0], 0.0, 0.0)
+
+
+def test_iterates_are_built_from_the_columns():
+    report = iterate_to_fixed_point(MAP_HALVING, GaussianState(4, 3))
+    assert report.iterates == tuple(map(GaussianState, report.mus, report.sigmas))
 
 
 def test_iterate_validates_arguments():
@@ -283,7 +379,7 @@ def test_banach_bounds_pass_with_trace_estimate():
     k, s0 = report.k_estimate, report.step_distances[0]
     for n in (0, 1, 5, len(report.step_distances) - 1):
         assert report.step_distances[n] <= k**n * s0 + 1e-12
-        d = state_distance(report.iterates[n], report.fixed_point)
+        d = state_distance(GaussianState(report.mus[n], report.sigmas[n]), report.fixed_point)
         assert d <= k**n / (1 - k) * s0 + 1e-12
 
 
@@ -309,10 +405,9 @@ def test_banach_bounds_reject_bad_k():
 
 def test_banach_bounds_reject_a_report_of_one_iterate():
     # the iteration always takes a step, so only a hand-built report has one iterate
-    start = GaussianState(4, 3)
-    report = FixedPointReport(iterates=(start,), step_distances=(), k_estimate=0.0,
-                              a_priori_bounds=(), fixed_point=start, converged=False,
-                              iterations_used=0)
+    report = FixedPointReport(mus=(4.0,), sigmas=(3.0,), step_distances=(), k_estimate=0.0,
+                              a_priori_bounds=(), fixed_point=GaussianState(4, 3),
+                              converged=False, iterations_used=0)
     with pytest.raises(ValueError, match="at least 2 iterates"):
         verify_banach_bounds(report, 0.5)
 
