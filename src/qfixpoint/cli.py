@@ -46,14 +46,6 @@ SIZE_LIMITS = {"--panels": 2**20, "--resolution": 101, "--samples": 10**6,
 _scalar = functools.lru_cache(maxsize=1024, typed=True)(json.dumps)
 
 
-def _run(values):
-    """``values``, if all are finite floats, as json items in one ``%`` call; else None."""
-    # NaN and inf make the sum non-finite; an overflowing sum only costs speed
-    if set(map(type, values)) != {float} or not math.isfinite(sum(values)):
-        return None
-    return ", ".join(["%.17g"] * len(values)) % tuple(values)
-
-
 def _json(value) -> str:
     """JSON text of ``value``; floats carry 17 significant digits."""
     if isinstance(value, float):
@@ -61,7 +53,7 @@ def _json(value) -> str:
             raise ValueError("non-finite float in report")
         return format(value, ".17g")
     if isinstance(value, (list, tuple)):
-        return "[" + (_run(value) or ", ".join(map(_json, value))) + "]"
+        return "[" + ", ".join(map(_json, value)) + "]"
     if isinstance(value, dict):
         return "{" + ", ".join(f"{_scalar(k)}: {_json(v)}" for k, v in value.items()) + "}"
     if dataclasses.is_dataclass(value):
@@ -70,16 +62,14 @@ def _json(value) -> str:
     return value() if callable(value) else _scalar(value)
 
 
-@functools.lru_cache(maxsize=64)
-def _csv_template(kinds) -> str:
-    """One csv line for a row of these column types: floats at 17 digits, the rest by str."""
-    return ",".join("%.17g" if issubclass(k, float) else "%s" for k in kinds) + "\n"
+def _cell(value) -> str:
+    """A csv cell or table value: floats at 17 significant digits, the rest by str."""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def _kv_table(pairs) -> str:
     width = max(len(k) for k, _ in pairs)
-    return "".join(f"{k:<{width}}  {format(v, '.17g') if isinstance(v, float) else v}\n"
-                   for k, v in pairs)
+    return "".join(f"{k:<{width}}  {_cell(v)}\n" for k, v in pairs)
 
 
 def _render(args, command: str, inputs: dict, result: dict, rows, table: str) -> None:
@@ -90,7 +80,7 @@ def _render(args, command: str, inputs: dict, result: dict, rows, table: str) ->
     elif args.format == "csv":
         # a function renders the whole csv text in one call
         text = rows() if callable(rows) else "".join(
-            _csv_template(tuple(map(type, row))) % tuple(row) for row in rows)
+            ",".join(map(_cell, row)) + "\n" for row in rows)
     else:
         text = table
     if args.out:
@@ -154,10 +144,11 @@ def _cmd_iterate(args) -> int:
                                   report.a_priori_bounds)
     n = len(steps)  # iterate n, the last, has no step
 
-    # each renders the whole trace in one % call; the loop refused non-finite iterates
-    def iterates():
-        flat = tuple(chain.from_iterable(zip(mus, sigmas)))
-        return "[" + ", ".join(['{"mu": %.17g, "sigma": %.17g}'] * (n + 1)) % flat + "]"
+    # each renders a json run of trace rows in one % call, only when json is asked for;
+    # the loop refused non-finite iterates, and steps and bounds are finite with them
+    def run(item, *columns):
+        return lambda: "[" + ", ".join([item] * len(columns[0])) % tuple(
+            chain.from_iterable(zip(*columns))) + "]"
 
     def csv():
         # bounds are empty when no contraction factor below 1 was observed, and
@@ -173,7 +164,8 @@ def _cmd_iterate(args) -> int:
               "max_iterations": args.max_iter}
     result = {"converged": report.converged, "iterations_used": report.iterations_used,
               "k_estimate": report.k_estimate, "fixed_point": report.fixed_point,
-              "iterates": iterates, "step_distances": steps, "a_priori_bounds": bounds}
+              "iterates": run('{"mu": %.17g, "sigma": %.17g}', mus, sigmas),
+              "step_distances": run("%.17g", steps), "a_priori_bounds": run("%.17g", bounds)}
 
     fp = report.fixed_point
     table = _kv_table([("converged", report.converged),
@@ -237,7 +229,8 @@ def _cmd_audit(args) -> int:
     rows, lines = [("report", "check", "passed", "checked", "witness")], []
     for name, rep in reports.items():
         for c in rep.checks:
-            witness = "" if c.witness is None else json.dumps(c.witness, default=str)
+            # the json document's witness text, quoted as one csv field (RFC 4180)
+            witness = "" if c.witness is None else '"%s"' % _json(c.witness).replace('"', '""')
             rows.append((name, c.name, c.passed, c.checked, witness))
             lines.append(f"{name}/{c.name}: {'PASS' if c.passed else 'FAIL'} "
                          f"({c.checked} checks)\n")

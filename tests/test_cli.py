@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -187,6 +188,16 @@ def test_audit_banach_bounds_small_k_exits_4(capsys):
     assert code == 4
     doc = json.loads(out)
     assert doc["result"]["passed"] is False
+
+
+def test_failing_audit_csv_quotes_the_json_witness_as_one_field(capsys):
+    argv = ["audit", "--target", "banach-bounds", "--k", "0.1", "--format"]
+    _, text = invoke(capsys, *argv, "csv")
+    _, doc = invoke(capsys, *argv, "json")
+    rows = list(csv.reader(io.StringIO(text)))
+    assert [len(row) for row in rows] == [5] * 3
+    checks = json.loads(doc)["result"]["reports"]["banach-bounds"]["checks"]
+    assert [json.loads(row[4]) for row in rows[1:]] == [c["witness"] for c in checks]
 
 
 def test_audit_banach_bounds_estimate_not_below_one_names_missing_k(capsys):
@@ -644,6 +655,9 @@ def test_every_argv_ends_in_a_documented_exit_code(argv):
         assert out == "" and err
     if err:
         assert err.startswith("error: ") and err.count("\n") == 1
+    if argv[2] == "csv" and out:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert {len(row) for row in rows} == {len(rows[0])}
 
 
 def test_identical_invocations_byte_identical(capsys):
@@ -674,7 +688,9 @@ def test_exit_codes_end_to_end():
 # (the overlap's last digit), and distance-json with them, because its inputs
 # echo the default panel count.  compare-json was re-taken again when the
 # distance took its prefactor from the width product (the last two digits of
-# k_estimate and k, and the condition audit's margins).
+# k_estimate and k, and the condition audit's margins).  audit-banach-k0.1-csv
+# was re-taken when the csv witness became the json witness text quoted as one
+# field, its floats at 17 significant digits.
 GOLDEN_ARGVS = {
     "distance": ["distance", "--a", "0,1", "--b", "2,1"],
     "distance-quadrature": ["distance", "--a", "0,1", "--b", "0.5,2", "--quadrature"],
@@ -728,7 +744,7 @@ GOLDEN_DIGESTS = {
     "audit-banach-csv": "665e480daf66326e0f03f64f3c84eec30348fcfa59898a3fc21e7f759cbec8c3",
     "audit-banach-table": "fb81d44af60cc8459b281cd488dd0c9e8a3f4458b3b16a94936c1fca5efb5f9a",
     "audit-banach-k0.1-json": "fecd109406183151942a07e5fabbb4497072495d07747cf97725dbcc63843f39",
-    "audit-banach-k0.1-csv": "b7dd297ccfdebb3bc1dd044418da5b676913ae37dc0c0dfcf2db381bc6ffbf26",
+    "audit-banach-k0.1-csv": "5ebe80c249b49427ff187c0aa84cc3bb23225b809db90b51448f2c1cabcfc3f0",
     "audit-banach-k0.1-table": "ac84866761a54004498b032e7ccd6b4141079ac6433f31e3030f75d1975ce04d",
     "audit-banach-k1.5-json": "1c068c04551ecd439386df6a756b4f61289cf5a44a55211a058ce0f5630d520c",
     "audit-banach-k1.5-csv": "1c068c04551ecd439386df6a756b4f61289cf5a44a55211a058ce0f5630d520c",

@@ -1,9 +1,9 @@
 """The CLI renderers against verbatim copies of the value-by-value ones.
 
-``cli._json`` formats a run of floats with one ``%`` call, the csv output
-formats each row with one template, and ``iterate`` renders its whole trace,
-json and csv, in one call each.  All must print exactly what rendering each
-value on its own printed, and refuse NaN and inf in json the same way.
+``cli._json`` and the csv rows render value by value, and ``iterate``
+renders each json run of its trace, and its whole csv body, in one ``%``
+call each.  All must print exactly what rendering each value on its own
+printed, and refuse NaN and inf in json the same way.
 """
 
 import contextlib
@@ -104,7 +104,7 @@ points = st.builds(Point, x=finite, y=finite)
 leaves = (finite | st.integers() | st.booleans() | st.none() | text | numpy_float
           | states | maps | points | st.builds(Single, finite)
           | st.builds(Mixed, st.integers(), finite))
-# long homogeneous runs, which the one-call path formats
+# long homogeneous runs, as reports hold them
 runs = (st.lists(finite, max_size=40) | st.lists(states, max_size=40)
         | st.lists(points, max_size=40) | st.lists(numpy_float, max_size=5)
         | st.lists(maps, max_size=5)).map(tuple)
@@ -152,12 +152,9 @@ def test_json_refuses_nan_and_inf_as_before(document, bad, data):
     assert rendered_or_error(cli._json, doc) == expected
 
 
-def test_a_trace_renders_its_iterates_in_one_call():
-    # the iterates are the columns mus and sigmas
+def test_a_trace_report_renders_as_value_by_value():
     report = iterate_to_fixed_point(AffineGaussianMap(0.5, 0.0, 0.5, 0.5),
                                     GaussianState(4.0, 3.0))
-    for run in (report.mus, report.sigmas, report.step_distances, report.a_priori_bounds):
-        assert cli._run(run) is not None
     assert cli._json(report) == _json(report)
 
 
