@@ -235,7 +235,7 @@ def _cmd_audit(args) -> int:
             lines.append(f"{name}/{c.name}: {'PASS' if c.passed else 'FAIL'} "
                          f"({c.checked} checks)\n")
             if c.witness is not None:
-                lines.append(f"  witness: {c.witness}\n")
+                lines.append(f"  witness: {_json(c.witness)}\n")
     lines.append(f"overall: {'PASS' if passed else 'FAIL'}\n")
     _render(args, "audit", inputs, result, rows, "".join(lines))
     return EXIT_OK if passed else EXIT_AUDIT_FAILED
@@ -250,17 +250,12 @@ def _cmd_compare(args) -> int:
     trace, k_estimate, fuzzy = build_feature_report(m, start, args.tol, args.max_iter,
                                                     rng_seed=args.seed)
     c = fuzzy.condition
-    condition = {"k_estimate": k_estimate, "k": fuzzy.k,
-                 "samples": c.samples, "violations": c.violations,
-                 "min_margin": c.min_margin, "max_abs_margin": c.max_abs_margin,
-                 "holds": c.holds}
-    if c.witness is not None:
-        condition["witness"] = c.witness
+    condition = {"k_estimate": k_estimate, "k": fuzzy.k, **{
+        f.name: v for f in dataclasses.fields(c) if (v := getattr(c, f.name)) is not None}}
     # constant rows: a graded membership has no superposition, so no excess, and under
     # t/(t + d) the fuzzy contraction is the same Picard iteration, so one trace serves both
     excess = {"interference_excess_quantum": interference_excess(*probe),
               "interference_excess_fuzzy": 0.0}
-    agreement = ("agreement_distance", 0.0)
     result = {
         **excess,
         "contraction_framework_results": {
@@ -269,7 +264,7 @@ def _cmd_compare(args) -> int:
                    "final_step_distance": trace.step_distances[-1],
                    "converged": trace.converged}
             for name in ("quantum", "fuzzy")},
-        "agreement_distance": agreement[1],
+        "agreement_distance": 0.0,
         "fuzzy_condition": condition,
         "notes": OUT_OF_SCOPE_NOTES,
     }
@@ -277,15 +272,13 @@ def _cmd_compare(args) -> int:
               "tolerance": args.tol, "max_iterations": args.max_iter,
               "rng_seed": args.seed}
 
-    q = f = trace.fixed_point
-    rows = [("key", "value"), *excess.items(), ("quantum_fixed_point_mu", q.mu),
-            ("quantum_fixed_point_sigma", q.sigma), ("fuzzy_fixed_point_mu", f.mu),
-            ("fuzzy_fixed_point_sigma", f.sigma), agreement]
-    table = _kv_table([*excess.items(), ("quantum_fixed_point", f"({q.mu:.12g}, {q.sigma:.12g})"),
-                       ("fuzzy_fixed_point", f"({f.mu:.12g}, {f.sigma:.12g})"), agreement,
-                       ("fuzzy_condition_holds", c.holds)])
-    table += "".join(f"note[{k}]: {v}\n" for k, v in OUT_OF_SCOPE_NOTES.items())
-    _render(args, "compare", inputs, result, rows, table)
+    fp = trace.fixed_point
+    rows = [*excess.items(), ("quantum_fixed_point_mu", fp.mu),
+            ("quantum_fixed_point_sigma", fp.sigma), ("fuzzy_fixed_point_mu", fp.mu),
+            ("fuzzy_fixed_point_sigma", fp.sigma), ("agreement_distance", 0.0),
+            ("fuzzy_condition_holds", c.holds)]
+    table = _kv_table(rows) + "".join(f"note[{k}]: {v}\n" for k, v in OUT_OF_SCOPE_NOTES.items())
+    _render(args, "compare", inputs, result, [("key", "value"), *rows], table)
     return EXIT_OK
 
 
@@ -296,8 +289,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write output to this file")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main prints a rejected argv as one line; subparsers inherit
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qfixpoint",
         description="Gaussian-state contraction fixed points and fuzzy-metric audits")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -361,8 +359,8 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         for flag, limit in SIZE_LIMITS.items():
             value = getattr(args, flag[2:].replace("-", "_"), None)
             if value is None:  # the subcommand has no such option

@@ -223,8 +223,8 @@ class GSConditionAudit:
     violations: int
     min_margin: float
     max_abs_margin: float
-    witness: dict | None
     holds: bool
+    witness: dict | None
 
 
 @dataclass(frozen=True)
@@ -267,7 +267,7 @@ def fuzzy_fixed_point(d, d_f, k: float, pair_at: Callable,
         min_margin = np.fmin.reduce(margin, axis=None, initial=min_margin)
         max_abs = np.fmax.reduce(np.abs(margin, out=margin), axis=None, initial=max_abs)
     condition = GSConditionAudit(d.size * T_SAMPLES, violations, float(min_margin),
-                                 float(max_abs), witness, holds=violations == 0)
+                                 float(max_abs), violations == 0, witness)
     return FuzzyFixedPointReport(k=k, condition=condition)
 
 

@@ -219,10 +219,13 @@ def test_audit_banach_bounds_explicit_bad_k_exits_2(capsys):
     assert captured.err == "error: --k: k must satisfy 0 <= k < 1\n"
 
 
-def test_audit_unknown_target_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["audit", "--target", "bogus"])
-    assert exc.value.code == 2
+def test_audit_unknown_target_exits_2(capsys):
+    code = main(["audit", "--target", "bogus"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: argument --target: invalid choice: 'bogus'")
+    assert captured.err.count("\n") == 1
 
 
 # ------------------------------------------------------------------- compare
@@ -428,8 +431,8 @@ def test_a_step_below_the_smallest_double_converges(capsys, argv):
     (["audit", "--target", "banach-bounds", "--map=0.99,0,0.5,0.5", "--start=1e155,1",
       "--max-iter", "1000000", "--k", "0.999"], 4,
      "banach-bounds/geometric_step_bound: FAIL (37769 checks)\n"
-     "  witness: {'n': 1, 'step_distance': 1.4142135623730951, "
-     "'bound': 1.412799348811722}\n"),
+     '  witness: {"n": 1, "step_distance": 1.4142135623730951, '
+     '"bound": 1.4127993488117221}\n'),
 ])
 def test_far_apart_states_are_computed(capsys, argv, code, expected):
     assert main(argv) == code
@@ -559,10 +562,7 @@ def test_main_ignores_a_later_rebinding_of_build_parser(capsys, monkeypatch):
     # main builds its parser once, through a cache bound at import; the
     # benchmark's tracer rebinds cli.build_parser, which must not reach main
     def outcome(argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejected the argv
-            code = exc.code
+        code = main(argv)
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
@@ -643,11 +643,7 @@ def argvs(draw):
 def test_every_argv_ends_in_a_documented_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejected the argv
-            assert exc.code == 2
-            return
+        code = main(argv)
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
@@ -690,7 +686,12 @@ def test_exit_codes_end_to_end():
 # distance took its prefactor from the width product (the last two digits of
 # k_estimate and k, and the condition audit's margins).  audit-banach-k0.1-csv
 # was re-taken when the csv witness became the json witness text quoted as one
-# field, its floats at 17 significant digits.
+# field, its floats at 17 significant digits.  The six compare csv and table
+# digests and audit-banach-k0.1-table were re-taken when each table came to
+# print the csv rows by the csv cell rule and an audit witness as its json
+# text: compare's table lists the fixed points as four 17-digit rows instead
+# of two .12g tuples, its csv gained the fuzzy_condition_holds row, and the
+# audit table's witness is json instead of a Python dict repr.
 GOLDEN_ARGVS = {
     "distance": ["distance", "--a", "0,1", "--b", "2,1"],
     "distance-quadrature": ["distance", "--a", "0,1", "--b", "0.5,2", "--quadrature"],
@@ -745,19 +746,19 @@ GOLDEN_DIGESTS = {
     "audit-banach-table": "fb81d44af60cc8459b281cd488dd0c9e8a3f4458b3b16a94936c1fca5efb5f9a",
     "audit-banach-k0.1-json": "fecd109406183151942a07e5fabbb4497072495d07747cf97725dbcc63843f39",
     "audit-banach-k0.1-csv": "5ebe80c249b49427ff187c0aa84cc3bb23225b809db90b51448f2c1cabcfc3f0",
-    "audit-banach-k0.1-table": "ac84866761a54004498b032e7ccd6b4141079ac6433f31e3030f75d1975ce04d",
+    "audit-banach-k0.1-table": "6609af7302118db40fe3c16b50dcfc4fdf6820b3a9097114f770d9a71cdc2628",
     "audit-banach-k1.5-json": "1c068c04551ecd439386df6a756b4f61289cf5a44a55211a058ce0f5630d520c",
     "audit-banach-k1.5-csv": "1c068c04551ecd439386df6a756b4f61289cf5a44a55211a058ce0f5630d520c",
     "audit-banach-k1.5-table": "1c068c04551ecd439386df6a756b4f61289cf5a44a55211a058ce0f5630d520c",
     "compare-json": "e8a02fb39dc7633e1ae97f8c5e89bc64ce59a7cb318c5f2b378abf1247837a8e",
-    "compare-csv": "ab89259e72519416a996df5a9e36882fc3a15ed918d415cce3c21d36a2570b4d",
-    "compare-table": "e135cb431375db6ccd32977ecbc7ffc6b9c7c9611cdce431602ab1adfc45300f",
+    "compare-csv": "5bedf00427676db78c017f9abe63ae756b800f9523c63e3ad334dee32e43453b",
+    "compare-table": "2d1d5d847112e80f5235efc497e4fe3ecb97ebce3c70080f6be273ccdf0f0956",
     "compare-seed3-json": "f445dcccd77c533460dccf732f3c3f81123375698378f52be328e12d35f4df8e",
-    "compare-seed3-csv": "e810645f8a8139b9e4c0e398094958c40960cdf8518acc98b879ecc6ba712dae",
-    "compare-seed3-table": "5fd4de8432d84d10d30ecb0ad3352b0f851b45fb9134adf3d0e663037c5ff5c6",
+    "compare-seed3-csv": "34c4b7be8dc9a468195976a43e8f9f17a3c7d332595484c02d5f814f0c42aa87",
+    "compare-seed3-table": "a1d18242a7cab745c1b5501b2716fa48a654714b58b97fae395196da672cf8bd",
     "compare-witness-json": "4a33d7faad0edb31f549e1e57385f5def549449c4a7a252a9bbdac283784c5ed",
-    "compare-witness-csv": "f9301211fbd7e9f230984a0e93aa02acc0eda4009f297394a032e9053d07ae37",
-    "compare-witness-table": "f4f645dcbb9061c9cf8cc44cc6c49b016a802a37bdcf82a3d7f15f2277877d0c",
+    "compare-witness-csv": "3ab89d8f6d340d3c70c5d56c4c38fea951dc7269cea808e9e19b428739450e3e",
+    "compare-witness-table": "0b5aab587bdc8ef0d6a6ccbe205e0ac1cec84670bd1126beffe209bd556228c3",
     "negative-sigma-json": "bfa39869f8e463ae20f25bb343376b40c6f60c43a1f5b97efbf54ba85fccbc6e",
     "negative-sigma-csv": "bfa39869f8e463ae20f25bb343376b40c6f60c43a1f5b97efbf54ba85fccbc6e",
     "negative-sigma-table": "bfa39869f8e463ae20f25bb343376b40c6f60c43a1f5b97efbf54ba85fccbc6e",
@@ -774,3 +775,21 @@ def test_output_bytes_are_pinned(capsys, case):
     captured = capsys.readouterr()
     blob = f"{code}\0{captured.out}\0{captured.err}".encode()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_DIGESTS[case]
+
+
+def test_a_table_prints_the_csv_cells_and_the_json_witness_text(capsys):
+    # a table's key/value lines are the csv rows, value text included
+    for name in ("distance", "distance-quadrature", "compare", "compare-seed3",
+                 "compare-witness"):
+        _, table = invoke(capsys, *GOLDEN_ARGVS[name], "--format", "table")
+        _, text = invoke(capsys, *GOLDEN_ARGVS[name], "--format", "csv")
+        lines = table.split("note[")[0].splitlines()
+        assert [line.split() for line in lines] == list(csv.reader(io.StringIO(text)))[1:]
+    # an audit table's witness is the json document's witness text
+    argv = GOLDEN_ARGVS["audit-banach-k0.1"]
+    _, table = invoke(capsys, *argv, "--format", "table")
+    _, doc = invoke(capsys, *argv, "--format", "json")
+    witnesses = [json.loads(line.removeprefix("  witness: "))
+                 for line in table.splitlines() if line.startswith("  witness: ")]
+    checks = json.loads(doc)["result"]["reports"]["banach-bounds"]["checks"]
+    assert witnesses == [c["witness"] for c in checks] and len(witnesses) == 2
