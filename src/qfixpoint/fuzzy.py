@@ -144,14 +144,12 @@ def _distances(fm: FuzzyMetric, pairs) -> "np.ndarray":
 
 def audit_gv_axioms(fm: FuzzyMetric, point_sampler: Callable, point_samples: int = 64,
                     t_samples: int = 16, rng_seed: int = 0) -> AxiomAuditReport:
-    """Randomized audit of the five fuzzy-metric axioms.
+    """Randomized audit of the fuzzy-metric axioms that a base distance can fail.
 
-    ``point_sampler(rng)`` draws carrier points.  Axioms 1-4 (zero at t=0,
-    identity, symmetry, t-norm triangle inequality) are checked on sampled
-    pairs/triples with t, s drawn log-uniformly from T_RANGE.  Axiom 5
-    (continuity in t) is probed per pair on a dense log-spaced t-grid:
-    membership must be nondecreasing in t and small relative t-steps must
-    produce membership changes below 1e-6.
+    ``point_sampler(rng)`` draws carrier points.  Identity, symmetry and the
+    t-norm triangle inequality are checked on sampled pairs/triples with t, s
+    drawn log-uniformly from T_RANGE.  Zero at t = 0 and continuity in t hold
+    for t / (t + d) whatever d >= 0 is, so unit tests of :func:`_grade` check them.
 
     The distances do not depend on t, so ``fm.base_distance`` is called
     6 * point_samples - 2 times whatever ``t_samples`` is: once per point
@@ -171,28 +169,21 @@ def audit_gv_axioms(fm: FuzzyMetric, point_sampler: Callable, point_samples: int
     tnorm = _tnorm_fn(fm.tnorm)
 
     adjacent = list(zip(pts[:-1], pts[1:]))
-    d_xy = _distances(fm, adjacent)[:, None]
-    m_xy = _grade(ts, d_xy)
+    m_xy = _grade(ts, _distances(fm, adjacent)[:, None])
     m_yx = _grade(ts, _distances(fm, [(y, x) for x, y in adjacent])[:, None])
     m_self = _grade(ts, _distances(fm, [(p, p) for p in pts])[:, None])
     xs, ys, zs = ([pts[i] for i in col] for col in tri.T)
     lhs = tnorm(_grade(t, _distances(fm, zip(xs, ys))), _grade(s, _distances(fm, zip(ys, zs))))
     rhs = _grade(t + s, _distances(fm, zip(xs, zs)))
-    grid = np.geomspace(T_RANGE[0], T_RANGE[1], 64)
-    vals = _grade(grid, d_xy)
-    jump = np.abs(_grade(grid * (1.0 + 1e-6), d_xy) - vals)
 
-    m0 = _grade(0.0, d_xy)
     n = len(pts)
     distinct = np.array([x != y for x, y in adjacent])[:, None]
-    steps = len(grid) - 1
 
     def pair_witness(i, **values):
         x, y = adjacent[i]
         return {"x": x, "y": y, **{k: float(v) for k, v in values.items()}}
 
     return AxiomAuditReport(target="fuzzy-metric-axioms", checks=(
-        check("zero_at_t0", m0 != 0.0, lambda i, _: pair_witness(i, membership_at_0=m0[i, 0])),
         # distinct carrier points must never reach grade 1; this also catches
         # degenerate base distances that report 0 for distinct points.  Rows
         # are the points with themselves, then the adjacent pairs.
@@ -205,13 +196,6 @@ def audit_gv_axioms(fm: FuzzyMetric, point_sampler: Callable, point_samples: int
         check("tnorm_triangle", lhs > rhs + AUDIT_SLACK,
               lambda i: {"x": xs[i], "y": ys[i], "z": zs[i], "t": float(t[i]), "s": float(s[i]),
                          "lhs": float(lhs[i]), "rhs": float(rhs[i])}),
-        # per pair: the 63 monotonicity steps, then the 64 relative-step probes
-        check("continuity_in_t",
-              np.hstack([vals[:, 1:] < vals[:, :-1] - AUDIT_SLACK, jump > 1e-6]),
-              lambda i, j: (pair_witness(i, t=grid[j], drop=vals[i, j] - vals[i, j + 1])
-                            if j < steps else
-                            pair_witness(i, t=grid[j - steps], jump=jump[i, j - steps])),
-              detail="monotone on a log grid; 1e-6 relative-step probe"),
     ))
 
 

@@ -304,8 +304,9 @@ def _pair_distance(mu_a, sigma_a, mu_b, sigma_b) -> float:
     if d * d < _RESOLVED_SQ or d * d * ss < _RESOLVED_SQ:
         if ss < sys.float_info.min:
             raise ZeroDivisionError("sigma_a**2 + sigma_b**2 underflows")
-        return _near_distance(dmu, dsigma, sab, ss)
-    return d
+        d = _near_distance(dmu, dsigma, sab, ss)
+    # v/(1 + p) + p is 1 in reals where the overlap term vanishes, but can round above it
+    return SQRT2 if d > SQRT2 else d
 
 
 def state_distance(a: GaussianState, b: GaussianState) -> float:
@@ -343,7 +344,7 @@ def distance_from_params(mu1, sigma1, mu2, sigma2):
             i = np.flatnonzero(suspect & ((mu1 != mu2) | (sigma1 != sigma2)))
             args = (mu1[i] - mu2[i], sigma1[i] - sigma2[i], sigma1[i] * sigma2[i], ss[i])
             d[i] = list(map(_near_distance, *(x.tolist() for x in args)))
-    return d
+    return np.minimum(d, SQRT2, out=d)
 
 
 def audit_metric_axioms(samples: int = 10000, rng_seed: int = 0,

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qfixpoint import fuzzy
-from qfixpoint.fuzzy import (LOG_T_RANGE, FuzzyMetric, TNormKind, _tnorm_fn, audit_gv_axioms,
-                             audit_tnorm_axioms, audit_tnorm_ordering, real_line_sampler)
+from qfixpoint import fuzzy, gaussian
+from qfixpoint.fuzzy import (LOG_T_RANGE, FuzzyMetric, TNormKind, _tnorm_fn, absolute_difference,
+                             audit_gv_axioms, audit_tnorm_axioms, audit_tnorm_ordering,
+                             real_line_sampler)
 from qfixpoint.gaussian import (SQRT2, GaussianState, ParameterBox, audit_metric_axioms,
                                distance_from_params, state_distance)
 from qfixpoint.reports import AuditCheck, AxiomAuditReport, check
@@ -269,41 +270,60 @@ def _broken_tnorm_case(op):
     return case
 
 
-def _broken_ordering_case(monkeypatch):
-    # the geometric mean in place of the product lies above the minimum off the diagonal
-    def broken(kind):
-        return (lambda a, b: np.sqrt(a * b)) if kind == TNormKind.PRODUCT else _tnorm_fn(kind)
-    monkeypatch.setattr(fuzzy, "_tnorm_fn", broken)
-    g = [float(v) for v in np.linspace(0.0, 1.0, 9)]
-    luk, prod = (lambda a, b: max(0.0, a + b - 1.0)), (lambda a, b: math.sqrt(a * b))
+SCALAR_TNORMS = {TNormKind.MINIMUM: min, TNormKind.PRODUCT: lambda a, b: a * b,
+                 TNormKind.LUKASIEWICZ: lambda a, b: max(0.0, a + b - 1.0)}
 
-    def at(i, j):
-        return {"x": g[i], "y": g[j]}
-    return audit_tnorm_ordering(9), {
-        "lukasiewicz_le_product": ([[not luk(a, b) - prod(a, b) <= SLACK for b in g] for a in g],
+
+def _broken_ordering_case(kind, op, scalar):
+    """The ordering audit with t-norm ``kind`` replaced by ``op``, in scalar form ``scalar``."""
+    def case(monkeypatch):
+        monkeypatch.setattr(fuzzy, "_tnorm_fn", lambda k: op if k == kind else _tnorm_fn(k))
+        g = [float(v) for v in np.linspace(0.0, 1.0, 9)]
+        luk, prod, mini = ({**SCALAR_TNORMS, kind: scalar}[k] for k in (
+            TNormKind.LUKASIEWICZ, TNormKind.PRODUCT, TNormKind.MINIMUM))
+
+        def at(i, j):
+            return {"x": g[i], "y": g[j]}
+        return audit_tnorm_ordering(9), {
+            "lukasiewicz_le_product": ([[not luk(a, b) - prod(a, b) <= SLACK for b in g]
+                                        for a in g], at),
+            "product_le_minimum": ([[not prod(a, b) - mini(a, b) <= SLACK for b in g] for a in g],
                                    at),
-        "product_le_minimum": ([[not prod(a, b) - min(a, b) <= SLACK for b in g] for a in g], at),
-    }
+        }
+    return case
 
 
-def _gv_case(monkeypatch):
-    # the squared distance breaks the triangle inequality, and under the minimum
-    # t-norm the induced membership breaks the t-norm triangle axiom
-    fm = FuzzyMetric(base_distance=lambda x, y: (x - y) ** 2, tnorm=TNormKind.MINIMUM)
-    n = 64
-    # the audit's draws, in its order
-    rng = np.random.default_rng(0)
-    pts = [real_line_sampler()(rng) for _ in range(n)]
-    rng.uniform(*LOG_T_RANGE, 8)
-    tri = rng.integers(0, n, size=(n, 3))
-    t, s = (10.0 ** rng.uniform(*LOG_T_RANGE, (n, 2))).T
-    d = fm.base_distance
-    failed = []
-    for (x, y, z), ti, si in zip(([pts[i] for i in row] for row in tri), t, s):
-        lhs = min(ti / (ti + d(x, y)), si / (si + d(y, z)))
-        failed.append(lhs > (ti + si) / (ti + si + d(x, z)) + SLACK)
-    return audit_gv_axioms(fm, real_line_sampler(), n, 8, rng_seed=0), {
-        "tnorm_triangle": (failed, lambda i: dict(zip("xyz", (pts[j] for j in tri[i]))))}
+def _gv_case(base_distance, tnorm=TNormKind.PRODUCT):
+    """The gv audit of ``base_distance`` on the line at 64 points and 8 t values, seed 0."""
+    def case(monkeypatch):
+        n, t_samples = 64, 8
+        # the audit's draws, in its order
+        rng = np.random.default_rng(0)
+        pts = [real_line_sampler()(rng) for _ in range(n)]
+        ts = 10.0 ** rng.uniform(*LOG_T_RANGE, t_samples)
+        tri = rng.integers(0, n, size=(n, 3))
+        t, s = (10.0 ** rng.uniform(*LOG_T_RANGE, (n, 2))).T
+        d, op = base_distance, SCALAR_TNORMS[tnorm]
+        adjacent = list(zip(pts, pts[1:]))
+        triangle = []
+        for (x, y, z), ti, si in zip(([pts[i] for i in row] for row in tri), t, s):
+            lhs = op(ti / (ti + d(x, y)), si / (si + d(y, z)))
+            triangle.append(lhs > (ti + si) / (ti + si + d(x, z)) + SLACK)
+        report = audit_gv_axioms(FuzzyMetric(base_distance, tnorm), real_line_sampler(), n,
+                                 t_samples, rng_seed=0)
+        return report, {
+            # rows: each point with itself, then the adjacent pairs
+            "identity": ([[tj / (tj + d(p, p)) != 1.0 for tj in ts] for p in pts] +
+                         [[x != y and tj / (tj + d(x, y)) >= 1.0 for tj in ts]
+                          for x, y in adjacent],
+                         lambda r, j: ({"x": pts[r], "t": ts[j]} if r < n else
+                                       {"x": pts[r - n], "y": pts[r - n + 1], "t": ts[j]})),
+            "symmetry": ([[tj / (tj + d(x, y)) != tj / (tj + d(y, x)) for tj in ts]
+                          for x, y in adjacent],
+                         lambda i, j: {"x": pts[i], "y": pts[i + 1], "t": ts[j]}),
+            "tnorm_triangle": (triangle, lambda i: dict(zip("xyz", (pts[j] for j in tri[i])))),
+        }
+    return case
 
 
 def _metric_case(monkeypatch):
@@ -319,6 +339,34 @@ def _metric_case(monkeypatch):
         "triangle_inequality": ([e > -1e-3 for e in excess],
                                 lambda i: {"d_ab": d[0, 1][i], "d_bc": d[1, 2][i],
                                            "d_ac": d[0, 2][i]})}
+
+
+def _broken_kernel_case(wrong):
+    """The metric-axioms audit with ``distance_from_params`` replaced by ``wrong(d, mu1, mu2)``,
+    where d is the true distance, and the masks of the three checks a kernel alone can fail."""
+    def case(monkeypatch):
+        monkeypatch.setattr(gaussian, "distance_from_params", lambda mu1, sg1, mu2, sg2: wrong(
+            distance_from_params(mu1, sg1, mu2, sg2), mu1, mu2))
+        mu, sg = ParameterBox(-10.0, 10.0, 0.1, 10.0).sample(np.random.default_rng(0), (3, 500))
+        a, b, c = ([(float(m), float(s)) for m, s in zip(mu[r], sg[r])] for r in range(3))
+
+        def dist(x, y):
+            return float(wrong(state_distance(GaussianState(*x), GaussianState(*y)), x[0], y[0]))
+
+        def pair_at(i):
+            return {"a": {"mu": a[i][0], "sigma": a[i][1]}, "b": {"mu": b[i][0], "sigma": b[i][1]},
+                    "d_ab": dist(a[i], b[i]), "d_ba": dist(b[i], a[i])}
+        all_d = [dist(x, y) for p, q in ((a, b), (b, c), (a, c)) for x, y in zip(p, q)]
+        return audit_metric_axioms(500, 0), {
+            "symmetry_exact": ([dist(x, y) != dist(y, x) for x, y in zip(a, b)], pair_at),
+            # row 0: each point with itself, row 1: distinct pairs at distance 0
+            "identity_of_indiscernibles": (
+                [[dist(x, x) != 0.0 for x in a],
+                 [x != y and dist(x, y) <= 0.0 for x, y in zip(a, b)]],
+                lambda r, i: pair_at(i) if r else {"mu": a[i][0], "sigma": a[i][1]}),
+            "range": ([not 0.0 <= d <= SQRT2 for d in all_d], lambda i: {"distance": all_d[i]}),
+        }
+    return case
 
 
 def _banach_case(monkeypatch):
@@ -345,12 +393,32 @@ def _uniqueness_case(monkeypatch):
                                lambda p: {"start_i": pairs[p][0], "start_j": pairs[p][1]})}
 
 
-@pytest.mark.parametrize("case", [
-    _broken_tnorm_case(lambda a, b: a * a * b),
-    _broken_tnorm_case(lambda a, b: np.minimum(a, 1.0 - b)),
-    _broken_ordering_case, _gv_case, _metric_case, _banach_case, _uniqueness_case,
-], ids=["tnorm-squared", "tnorm-decreasing", "tnorm-ordering", "gv", "metric-axioms",
-        "banach-bounds", "uniqueness"])
+FAILING_CASES = {
+    "tnorm-squared": _broken_tnorm_case(lambda a, b: a * a * b),
+    "tnorm-decreasing": _broken_tnorm_case(lambda a, b: np.minimum(a, 1.0 - b)),
+    # the geometric mean in place of the product lies above the minimum off the diagonal
+    "tnorm-ordering": _broken_ordering_case(TNormKind.PRODUCT, lambda a, b: np.sqrt(a * b),
+                                            lambda a, b: math.sqrt(a * b)),
+    # the maximum in place of the Lukasiewicz t-norm lies above the product
+    "tnorm-ordering-maximum": _broken_ordering_case(TNormKind.LUKASIEWICZ, np.maximum, max),
+    # the squared distance breaks the triangle inequality, and under the minimum
+    # t-norm the induced membership breaks the t-norm triangle axiom
+    "gv": _gv_case(lambda x, y: (x - y) ** 2, TNormKind.MINIMUM),
+    "gv-asymmetric": _gv_case(lambda x, y: abs(x - y) * (1.0 + 1e-9 * (x > y))),
+    # d(p, p) > 0 fails the rows of points with themselves, d = 0 those of distinct pairs
+    "gv-self-distance": _gv_case(lambda x, y: abs(x - y) + 1e-3),
+    "gv-zero": _gv_case(lambda x, y: 0.0),
+    "metric-axioms": _metric_case,
+    "metric-asymmetric": _broken_kernel_case(lambda d, mu1, mu2: d * (1.0 - 1e-9 * (mu1 > mu2))),
+    "metric-zero-when-close": _broken_kernel_case(
+        lambda d, mu1, mu2: np.where(np.abs(mu1 - mu2) < 1.0, 0.0, d)),
+    "metric-above-sqrt2": _broken_kernel_case(lambda d, mu1, mu2: 1.5 * d),
+    "banach-bounds": _banach_case,
+    "uniqueness": _uniqueness_case,
+}
+
+
+@pytest.mark.parametrize("case", FAILING_CASES.values(), ids=FAILING_CASES)
 def test_a_failing_check_witnesses_its_first_failure_in_row_major_order(case, monkeypatch):
     report, masks = case(monkeypatch)
     assert not all(c.passed for c in report.checks if c.name in masks)
@@ -363,4 +431,27 @@ def test_a_failing_check_witnesses_its_first_failure_in_row_major_order(case, mo
         if len(hits):
             want = witness_at(*(int(i) for i in hits[0]))
             assert c.witness is not None, c.name
-            assert {key: c.witness[key] for key in want} == pytest.approx(want, rel=1e-12, abs=0)
+            got = {key: c.witness[key] for key in want}
+            # a witness state, {"mu": ..., "sigma": ...}, is its drawn parameters exactly
+            states = [key for key, value in want.items() if isinstance(value, dict)]
+            assert [got.pop(key) for key in states] == [want.pop(key) for key in states], c.name
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_every_audit_check_has_an_input_that_fails_it():
+    """Each check an audit emits fails in some case above; a check no input can fail
+    belongs in a unit test of what makes it hold, not in every run of the audit."""
+    trace = iterate_to_fixed_point(DEFAULT_MAPS[0], DEFAULT_STARTS[0])
+    reports = [*(audit_tnorm_axioms(kind) for kind in TNormKind), audit_tnorm_ordering(),
+               audit_gv_axioms(FuzzyMetric(absolute_difference), real_line_sampler(), 16, 8),
+               audit_metric_axioms(100), verify_banach_bounds(trace, 0.5),
+               verify_uniqueness(DEFAULT_MAPS[0], DEFAULT_STARTS)]
+    emitted = {(r.target, c.name) for r in reports for c in r.checks}
+    failed = set()
+    for case in FAILING_CASES.values():
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            report, masks = case(monkeypatch)
+        failed |= {(report.target, c.name) for c in report.checks
+                   if c.name in masks and not c.passed}
+    assert emitted - failed == set()
+    assert len(emitted) == 16

@@ -348,8 +348,15 @@ def test_distance_monotone_in_separation():
     assert all(x < y for x, y in zip(vals, vals[1:]))
 
 
+# a far pair at a width ratio of 26.7, where v/(1 + p) + p rounded above 1 and the
+# distance came out 1.4142135623730954, 1.4 ulps above its true value
+FAR_NARROW_PAIR = (GaussianState(0.0, 1.0),
+                   GaussianState(111.77695559180432, 0.037457759805036794))
+
+
 @settings(max_examples=100)
 @given(states, states, states)
+@example(*FAR_NARROW_PAIR, GaussianState(0.0, 1.0))
 def test_distance_metric_properties(a, b, c):
     d_ab, d_ac, d_bc = (state_distance(x, y) for x, y in ((a, b), (a, c), (b, c)))
     assert d_ab == state_distance(b, a)
@@ -562,6 +569,28 @@ def test_scalar_and_vectorized_distance_refuse_alike(mu, sigma, k, shifted):
         # only widths whose squares leave the double range are refused
         assert scalar == vectorized
         assert scalar in (ZeroDivisionError, OverflowError)
+
+
+widths = magnitudes.filter(lambda s: 1e-150 <= s <= 1e150)  # squares stay normal
+wide_states = st.builds(GaussianState, st.one_of(st.just(0.0), magnitudes,
+                                                 magnitudes.map(lambda m: -m)), widths)
+
+
+@settings(max_examples=500, deadline=None)
+@given(wide_states, wide_states, wide_states)
+@example(*FAR_NARROW_PAIR, GaussianState(0.0, 1.0))
+def test_distance_metric_properties_hold_at_any_scale(a, b, c):
+    # centres up to 1e200 and widths over 300 decades, so width ratios far beyond
+    # the 1e8 of the accuracy tests and most distances at or near sqrt(2)
+    pairs = ((a, b), (a, c), (b, c))
+    d_ab, d_ac, d_bc = (state_distance(x, y) for x, y in pairs)
+    assert d_ab == state_distance(b, a)
+    assert (d_ab == 0.0) is (a == b)
+    vectorized = distance_from_params(*map(np.array, zip(*[(x.mu, x.sigma, y.mu, y.sigma)
+                                                           for x, y in pairs])))
+    for d in (d_ab, d_ac, d_bc, *vectorized.tolist()):
+        assert 0.0 <= d <= math.sqrt(2)
+    assert d_ac <= d_ab + d_bc + 4 * math.ulp(d_ac)
 
 
 # ----------------------------------------------------- oracle grid and audit
