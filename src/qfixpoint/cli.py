@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from itertools import chain
 
@@ -89,8 +90,16 @@ def _render(args, command: str, inputs: dict, result: dict, rows, table: str) ->
                 fh.write(text)
         except OSError as exc:
             raise ValueError(f"--out: {exc}") from None
+    elif sys.stdout is None:  # fd 1 was closed when the interpreter started
+        raise ValueError("stdout: not open")
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            if isinstance(exc, BrokenPipeError):  # Python flushes stdout again at exit
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ValueError(f"stdout: {exc}") from None
 
 
 # ------------------------------------------------------------------- parsing

@@ -87,7 +87,7 @@ def build_feature_report(m: AffineGaussianMap, start: GaussianState,
     What the fuzzy side adds is fuzzy_fixed_point's condition audit, on the
     2000 pairs that estimate_contraction_factor draws from DEFAULT_REGION
     with this seed: they are measured once, for the unclamped ``k_estimate``
-    and for the audit's 16 t values per pair at the clamped ``k`` the report
+    and for the audit at every t of T_GRID at the clamped ``k`` the report
     holds; states are built only for a witness, and no base distance is
     called.  Raises NotConvergedError if the iteration exhausts its budget.
     """
@@ -100,6 +100,6 @@ def build_feature_report(m: AffineGaussianMap, start: GaussianState,
     # estimates k = 0, any positive factor below 1 certifies it
     k = min(max(k_raw, 1e-6), 1.0 - 1e-12)
     fuzzy = fuzzy_fixed_point(d, d_f, k, lambda i: (
-        GaussianState(mu1[i], sg1[i]), GaussianState(mu2[i], sg2[i])), rng_seed)
+        GaussianState(mu1[i], sg1[i]), GaussianState(mu2[i], sg2[i])))
 
     return quantum, k_raw, fuzzy

@@ -35,6 +35,9 @@ AUDIT_SLACK = 1e-12
 T_RANGE = (1e-3, 1e3)
 LOG_T_RANGE = (math.log10(T_RANGE[0]), math.log10(T_RANGE[1]))
 T_SAMPLES = 16  # t values per pair in the fuzzy contraction audit
+# the audit's t values, log-spaced over T_RANGE with both ends exact, by libm pow
+T_GRID = tuple(10.0 ** (LOG_T_RANGE[0] + (LOG_T_RANGE[1] - LOG_T_RANGE[0]) * i / (T_SAMPLES - 1))
+               for i in range(T_SAMPLES))
 # pairs per condition-audit block: 8192 (pair, t) samples, 64 KiB per float64 temporary,
 # under glibc's mmap threshold, so blocks reuse heap memory instead of faulting in pages
 _AUDIT_ROWS = 8192 // T_SAMPLES
@@ -118,19 +121,15 @@ class FuzzyMetric:
     tnorm: TNormKind = TNormKind.PRODUCT
 
 
-def _grade(t, d, out=None):
+def _grade(t, d):
     """The membership formula t / (t + d), taken as 0 where t = 0.
 
     ``t`` and ``d`` broadcast, so one call grades a whole sweep of t values.
-    The grades are written to ``out`` when given; it must not overlap ``t``.
     """
     import numpy as np
     t = np.asarray(t, dtype=float)
-    out = np.empty(np.broadcast_shapes(t.shape, np.shape(d))) if out is None else out
     with np.errstate(invalid="ignore"):
-        np.divide(t, np.add(t, d, out=out), out=out)
-    np.copyto(out, 0.0, where=t == 0.0)
-    return out
+        return np.where(t == 0.0, 0.0, t / (t + d))
 
 
 def _distances(fm: FuzzyMetric, pairs) -> "np.ndarray":
@@ -201,7 +200,7 @@ def audit_gv_axioms(fm: FuzzyMetric, point_sampler: Callable, point_samples: int
 
 @dataclass(frozen=True)
 class GSConditionAudit:
-    """Sampled audit of the fuzzy contraction condition M(fx, fy, kt) >= M(x, y, t)."""
+    """Audit of the fuzzy contraction condition M(fx, fy, kt) >= M(x, y, t) on T_GRID."""
 
     samples: int
     violations: int
@@ -219,34 +218,31 @@ class FuzzyFixedPointReport:
     condition: GSConditionAudit
 
 
-def fuzzy_fixed_point(d, d_f, k: float, pair_at: Callable,
-                      rng_seed: int = 0) -> FuzzyFixedPointReport:
+def fuzzy_fixed_point(d, d_f, k: float, pair_at: Callable) -> FuzzyFixedPointReport:
     """Audit M(f(x), f(y), k*t) >= M(x, y, t); the fixed point is the Picard one in d.
 
-    ``d`` and ``d_f`` are 1-D arrays of d(x, y) and d(f(x), f(y)) per pair.
-    Each pair gets T_SAMPLES t values, log-uniform over T_RANGE, drawn for
-    _AUDIT_ROWS pairs at a time from one stream seeded with ``rng_seed``, so
-    the blocks change no bit.  The witness is the first violation in
-    pair-major order, named by ``pair_at(i)``; NaN margins count as neither
-    violations nor extremes.  Raises ValueError unless 0 < k < 1, or if d is empty.
+    ``d`` and ``d_f`` are 1-D arrays of d(x, y) and d(f(x), f(y)), graded _AUDIT_ROWS
+    pairs at a time at every t of T_GRID.  A margin t(k d - d_f)/((kt + d_f)(t + d))
+    >= 0 is least at an end of T_RANGE, so ``min_margin`` is exact whenever the
+    condition holds.  The witness is the first violation in pair-major order, named
+    by ``pair_at(i)``; NaN margins count as neither violations nor extremes.
+    Raises ValueError unless 0 < k < 1, or if d is empty.
     """
     import numpy as np
     if not 0.0 < k < 1.0:
         raise ValueError("k must lie in (0, 1)")
     if d.size == 0:
         raise ValueError("the condition audit needs at least one pair")
-    rng = np.random.default_rng(rng_seed)
+    ts = np.array(T_GRID)
     violations, min_margin, max_abs, witness = 0, math.inf, 0.0, None
     for lo in range(0, d.size, _AUDIT_ROWS):
-        ts = 10.0 ** rng.uniform(*LOG_T_RANGE, (min(_AUDIT_ROWS, d.size - lo), T_SAMPLES))
-        kt = k * ts
-        margin = _grade(kt, d_f[lo:lo + _AUDIT_ROWS, None])
-        margin -= _grade(ts, d[lo:lo + _AUDIT_ROWS, None], out=kt)
+        margin = _grade(k * ts, d_f[lo:lo + _AUDIT_ROWS, None])
+        margin -= _grade(ts, d[lo:lo + _AUDIT_ROWS, None])
         failed = margin < -AUDIT_SLACK
         violations += int(np.count_nonzero(failed))
         if witness is None and (bad := _first(failed)) is not None:
             x, y = pair_at(lo + int(bad[0]))
-            witness = {"x": x, "y": y, "t": float(ts[bad]), "margin": float(margin[bad])}
+            witness = {"x": x, "y": y, "t": T_GRID[bad[1]], "margin": float(margin[bad])}
         # fmin/fmax skip NaN margins, as the comparisons that count violations do
         min_margin = np.fmin.reduce(margin, axis=None, initial=min_margin)
         max_abs = np.fmax.reduce(np.abs(margin, out=margin), axis=None, initial=max_abs)

@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -493,6 +495,33 @@ def test_out_of_range_option_exits_2_naming_it(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+# main checks the size options, --seed and --tol whatever the audit target reads
+@pytest.mark.parametrize("option, message", [
+    (["--resolution", "3"], "--resolution: must be at least 5"),
+    (["--points", "5"], "--points: must be at least 10"),
+    (["--t-samples", "4"], "--t-samples: must be at least 5"),
+    (["--samples", "0"], "--samples: must be at least 1"),
+    (["--max-iter", "0"], "--max-iter: must be at least 1"),
+    (["--seed=-1"], "--seed: must be non-negative"),
+    (["--tol", "0"], "--tol: tolerance must be positive"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_tnorm_audit_checks_the_options_it_ignores(capsys, option, message):
+    code = main(["audit", "--target", "tnorm", *option])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_only_banach_bounds_parses_map_start_and_k(capsys):
+    # the other targets never read these three options, so they are not checked there
+    _, want = invoke(capsys, "audit", "--target", "tnorm")
+    for option in (["--k", "1.5"], ["--start=0,-1"], ["--map", "1,0,0,1"]):
+        assert invoke(capsys, "audit", "--target", "tnorm", *option) == (0, want)
+        assert main(["audit", "--target", "banach-bounds", *option]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {option[0].split('=')[0]}")
+
+
 def _limit_argv(flag, value):
     command = {"--panels": ["distance", "--a", "0,1", "--b", "1,1", "--quadrature"],
                "--resolution": ["audit", "--target", "tnorm"],
@@ -676,6 +705,29 @@ def test_exit_codes_end_to_end():
     assert b"sigma must be positive" in bad.stderr
 
 
+def _one_error_line(proc, message):
+    assert proc.returncode == 2
+    assert proc.stderr.decode().splitlines() == [message]
+
+
+def test_closed_stdout_exits_2_with_one_error_line():
+    # with fd 1 closed at startup, Python's sys.stdout is None
+    argv = shlex.join(RUN + ["distance", "--a", "0,1", "--b", "1,1"])
+    proc = subprocess.run(["sh", "-c", f"exec {argv} >&-"], stderr=subprocess.PIPE)
+    _one_error_line(proc, "error: stdout: not open")
+
+
+def test_broken_pipe_on_stdout_exits_2_with_one_error_line():
+    # the pipe's read end is closed before the command starts, so every write fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(RUN + ["compare"], stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    _one_error_line(proc, "error: stdout: [Errno 32] Broken pipe")
+
+
 # ------------------------------------------------------------- pinned bytes
 
 # sha256 of f"{exit code}\0{stdout}\0{stderr}" for each argv + "--format FMT",
@@ -697,7 +749,10 @@ def test_exit_codes_end_to_end():
 # audit table's witness is json instead of a Python dict repr.  The six audit-gv
 # digests were re-taken when the gv audit dropped its zero_at_t0 and
 # continuity_in_t checks, which no base distance can fail; every other line of
-# those outputs is unchanged.
+# those outputs is unchanged.  The three compare json digests were re-taken when
+# the condition audit moved from random t draws to one fixed log-spaced grid over
+# T_RANGE: max_abs_margin, and for compare-witness the violation count, the
+# min_margin and the witness, changed; every other value is unchanged.
 GOLDEN_ARGVS = {
     "distance": ["distance", "--a", "0,1", "--b", "2,1"],
     "distance-quadrature": ["distance", "--a", "0,1", "--b", "0.5,2", "--quadrature"],
@@ -756,13 +811,13 @@ GOLDEN_DIGESTS = {
     "audit-banach-k1.5-json": "1c068c04551ecd439386df6a756b4f61289cf5a44a55211a058ce0f5630d520c",
     "audit-banach-k1.5-csv": "1c068c04551ecd439386df6a756b4f61289cf5a44a55211a058ce0f5630d520c",
     "audit-banach-k1.5-table": "1c068c04551ecd439386df6a756b4f61289cf5a44a55211a058ce0f5630d520c",
-    "compare-json": "e8a02fb39dc7633e1ae97f8c5e89bc64ce59a7cb318c5f2b378abf1247837a8e",
+    "compare-json": "2500942cdfc28d3f14accddfaa45df9b71e316a7aa8b1be3a44b70589f3a34c2",
     "compare-csv": "5bedf00427676db78c017f9abe63ae756b800f9523c63e3ad334dee32e43453b",
     "compare-table": "2d1d5d847112e80f5235efc497e4fe3ecb97ebce3c70080f6be273ccdf0f0956",
-    "compare-seed3-json": "f445dcccd77c533460dccf732f3c3f81123375698378f52be328e12d35f4df8e",
+    "compare-seed3-json": "52e26b3ee7182109fc174a6554825dd46fc1d1cfa6ecbb1bc1c1be59eb4dc9f7",
     "compare-seed3-csv": "34c4b7be8dc9a468195976a43e8f9f17a3c7d332595484c02d5f814f0c42aa87",
     "compare-seed3-table": "a1d18242a7cab745c1b5501b2716fa48a654714b58b97fae395196da672cf8bd",
-    "compare-witness-json": "4a33d7faad0edb31f549e1e57385f5def549449c4a7a252a9bbdac283784c5ed",
+    "compare-witness-json": "31d8802def47b6b63ee5522203b39b9ce5c82fc4715c3ade2ba38adeb7b281e1",
     "compare-witness-csv": "3ab89d8f6d340d3c70c5d56c4c38fea951dc7269cea808e9e19b428739450e3e",
     "compare-witness-table": "0b5aab587bdc8ef0d6a6ccbe205e0ac1cec84670bd1126beffe209bd556228c3",
     "negative-sigma-json": "bfa39869f8e463ae20f25bb343376b40c6f60c43a1f5b97efbf54ba85fccbc6e",

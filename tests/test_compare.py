@@ -10,7 +10,7 @@ from qfixpoint.cli import main
 from qfixpoint.compare import (OUT_OF_SCOPE_NOTES, build_feature_report,
                                gaussian_parameter_metric,
                                interference_excess, interference_excess_quadrature)
-from qfixpoint.fuzzy import T_SAMPLES, fuzzy_fixed_point
+from qfixpoint.fuzzy import T_RANGE, T_SAMPLES, fuzzy_fixed_point
 from qfixpoint.gaussian import (GaussianState, QuadratureConfig, overlap_closed_form,
                                 overlap_quadrature, state_distance)
 from qfixpoint.solver import (DEFAULT_MAPS, DEFAULT_REGION, DEFAULT_STARTS,
@@ -142,7 +142,7 @@ def test_feature_report_condition_audit_equals_generic_audit(m, seed):
     pairs = sample_state_pairs(DEFAULT_REGION, 2000, np.random.default_rng(seed))
     d = np.array([state_distance(x, y) for x, y in pairs])
     d_f = np.array([state_distance(apply_map(m, x), apply_map(m, y)) for x, y in pairs])
-    want = fuzzy_fixed_point(d, d_f, fuzzy.k, pairs.__getitem__, seed).condition
+    want = fuzzy_fixed_point(d, d_f, fuzzy.k, pairs.__getitem__).condition
     assert (got.samples, got.violations, got.holds) == (want.samples, want.violations,
                                                         want.holds)
     # the array distances differ from the scalar kernel's by at most a few
@@ -157,6 +157,23 @@ def test_feature_report_condition_audit_equals_generic_audit(m, seed):
         assert got.witness["margin"] == close(want.witness["margin"])
     else:
         assert got.witness is want.witness is None
+
+
+@pytest.mark.parametrize("m", DEFAULT_MAPS)
+@pytest.mark.parametrize("seed", [0, 3])
+def test_passing_condition_audit_reports_the_exact_min_margin(m, seed):
+    # a margin t(k d - d_f)/((kt + d_f)(t + d)) that is >= 0 rises from 0 to one
+    # maximum and falls back, so over T_RANGE it is least at one of its two ends
+    _, _, fuzzy = build_feature_report(m, GaussianState(4, 3), rng_seed=seed)
+    assert fuzzy.condition.holds
+    k = fuzzy.k
+    pairs = sample_state_pairs(DEFAULT_REGION, 2000, np.random.default_rng(seed))
+    ends = math.inf
+    for x, y in pairs:
+        d, d_f = state_distance(x, y), state_distance(apply_map(m, x), apply_map(m, y))
+        for t in T_RANGE:
+            ends = min(ends, k * t / (k * t + d_f) - t / (t + d))
+    assert fuzzy.condition.min_margin == pytest.approx(ends, rel=0, abs=4 * math.ulp(1.0))
 
 
 def test_feature_report_comes_from_the_traced_fuzzy_fixed_point(monkeypatch):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfixpoint.compare import gaussian_parameter_metric, gaussian_state_sampler
-from qfixpoint.fuzzy import (_AUDIT_ROWS, AUDIT_SLACK, T_RANGE, T_SAMPLES, FuzzyMetric,
-                             TNormKind, _grade, _tnorm_fn, absolute_difference,
+from qfixpoint.fuzzy import (_AUDIT_ROWS, AUDIT_SLACK, T_GRID, T_RANGE, T_SAMPLES,
+                             FuzzyMetric, TNormKind, _grade, _tnorm_fn, absolute_difference,
                              audit_gv_axioms, audit_tnorm_axioms, audit_tnorm_ordering,
                              fuzzy_fixed_point, real_line_sampler)
 from qfixpoint.reports import AuditCheck, AxiomAuditReport
@@ -108,7 +108,7 @@ def test_membership_formula_values():
 # subnormal, a unit, a huge and an infinite distance
 GRADED_DISTANCES = [0.0, 5e-324, 1.0, 1e300, math.inf]
 # T_RANGE and nine decades either side of it, 100 points a decade
-T_GRID = np.geomspace(T_RANGE[0] * 1e-9, T_RANGE[1] * 1e9, 2401)
+DENSE_T = np.geomspace(T_RANGE[0] * 1e-9, T_RANGE[1] * 1e9, 2401)
 
 
 @pytest.mark.parametrize("d", GRADED_DISTANCES)
@@ -119,7 +119,7 @@ def test_membership_is_zero_at_t0(d):
 
 @pytest.mark.parametrize("d", GRADED_DISTANCES)
 def test_membership_is_nondecreasing_in_t(d):
-    m = _grade(T_GRID, d)
+    m = _grade(DENSE_T, d)
     assert (np.diff(m) >= 0.0).all()
     assert ((0.0 <= m) & (m <= 1.0)).all()
 
@@ -127,7 +127,7 @@ def test_membership_is_nondecreasing_in_t(d):
 @pytest.mark.parametrize("d", GRADED_DISTANCES)
 def test_membership_is_continuous_in_t(d):
     # a 1e-6 relative step in t moves t / (t + d) by M (1 - M) 1e-6 <= 2.5e-7 in reals
-    jump = np.abs(_grade(T_GRID * (1.0 + 1e-6), d) - _grade(T_GRID, d))
+    jump = np.abs(_grade(DENSE_T * (1.0 + 1e-6), d) - _grade(DENSE_T, d))
     assert jump.max() <= 1e-6
 
 
@@ -249,6 +249,16 @@ def test_samplers_draw_from_their_fixed_ranges():
                for s in states)
 
 
+def test_condition_t_grid_is_log_spaced_over_t_range():
+    assert len(T_GRID) == T_SAMPLES
+    assert all(isinstance(t, float) for t in T_GRID)
+    assert all(a < b for a, b in zip(T_GRID, T_GRID[1:]))
+    # both ends exactly, so a margin that is least at an end of T_RANGE is graded there
+    assert (T_GRID[0], T_GRID[-1]) == T_RANGE
+    steps = np.diff(np.log10(T_GRID))
+    assert steps == pytest.approx(np.full(T_SAMPLES - 1, 6.0 / (T_SAMPLES - 1)), rel=1e-13)
+
+
 def test_fuzzy_fixed_point_accepts_explicit_pairs():
     pairs = [(0.0, 1.0), (2.0, -3.0), (5.0, 5.0)]
     report = fuzzy_fixed_point(*_pair_distances(LINE, lambda x: x / 2, pairs), 0.5,
@@ -259,7 +269,7 @@ def test_fuzzy_fixed_point_accepts_explicit_pairs():
 
 # ------------------------------------------ scalar reference implementations
 #
-# The per-t loops that the vectorized audits replaced, kept verbatim so the
+# The per-t loops that the vectorized audits replaced, kept as plain loops so the
 # audits can be checked against them for exact (not approximate) equality.
 
 def _scalar_membership(fm, x, y, t):
@@ -273,16 +283,14 @@ def _scalar_membership(fm, x, y, t):
     return t / (t + d)
 
 
-def _scalar_condition(d, d_f, k, pairs, rng):
+def _scalar_condition(d, d_f, k, pairs):
     samples = 0
     violations = 0
     min_margin = math.inf
     max_abs = 0.0
     witness = None
     for (x, y), dxy, dfxy in zip(pairs, d.tolist(), d_f.tolist()):
-        tvals = 10.0 ** rng.uniform(math.log10(T_RANGE[0]), math.log10(T_RANGE[1]), T_SAMPLES)
-        for t in tvals:
-            t = float(t)
+        for t in T_GRID:
             margin = k * t / (k * t + dfxy) - t / (t + dxy)
             samples += 1
             min_margin = min(min_margin, margin)
@@ -379,9 +387,8 @@ def test_condition_audit_equals_scalar_loop(fm, f, k, sampler, holds):
     rng = np.random.default_rng(3)
     pairs = [(sampler(rng), sampler(rng)) for _ in range(150)]
     d, d_f = _pair_distances(fm, f, pairs)
-    c = fuzzy_fixed_point(d, d_f, k, pairs.__getitem__, rng_seed=3).condition
-    samples, violations, min_margin, max_abs, witness = _scalar_condition(
-        d, d_f, k, pairs, np.random.default_rng(3))
+    c = fuzzy_fixed_point(d, d_f, k, pairs.__getitem__).condition
+    samples, violations, min_margin, max_abs, witness = _scalar_condition(d, d_f, k, pairs)
     assert c.holds is holds
     assert (violations > 0) is not holds
     assert c.samples == samples == 150 * T_SAMPLES
@@ -408,8 +415,8 @@ def test_blocked_condition_audit_equals_scalar_loop(t_samples, pairs):
     gaps = np.random.default_rng(5).uniform(0.01, 0.5, pairs)
     condition_pairs = [(float(i), i + float(g)) for i, g in enumerate(gaps)]
     d, d_f = _pair_distances(fm, f, condition_pairs)
-    c = fuzzy_fixed_point(d, d_f, 0.6, condition_pairs.__getitem__, rng_seed=3).condition
-    want = _scalar_condition(d, d_f, 0.6, condition_pairs, np.random.default_rng(3))
+    c = fuzzy_fixed_point(d, d_f, 0.6, condition_pairs.__getitem__).condition
+    want = _scalar_condition(d, d_f, 0.6, condition_pairs)
     assert (c.samples, c.violations, c.min_margin, c.max_abs_margin, c.witness) == want
     assert c.holds is (pairs <= rows)
     if pairs > rows:
