@@ -221,12 +221,12 @@ class FuzzyFixedPointReport:
 def fuzzy_fixed_point(d, d_f, k: float, pair_at: Callable) -> FuzzyFixedPointReport:
     """Audit M(f(x), f(y), k*t) >= M(x, y, t); the fixed point is the Picard one in d.
 
-    ``d`` and ``d_f`` are 1-D arrays of d(x, y) and d(f(x), f(y)), graded _AUDIT_ROWS
-    pairs at a time at every t of T_GRID.  A margin t(k d - d_f)/((kt + d_f)(t + d))
-    >= 0 is least at an end of T_RANGE, so ``min_margin`` is exact whenever the
-    condition holds.  The witness is the first violation in pair-major order, named
-    by ``pair_at(i)``; NaN margins count as neither violations nor extremes.
-    Raises ValueError unless 0 < k < 1, or if d is empty.
+    ``d`` and ``d_f`` are 1-D arrays of finite d(x, y) and d(f(x), f(y)), graded
+    _AUDIT_ROWS pairs at a time at every t of T_GRID as t(k d - d_f)/((kt + d_f)(t + d)),
+    which has the sign of k d - d_f and, where >= 0, is least at an end of T_RANGE: so
+    ``min_margin`` is exact and >= 0 whenever the condition holds.  The witness is the
+    first violating pair, ``pair_at(i)``, at its least margin on T_GRID; NaN margins
+    count as neither violations nor extremes.  Raises ValueError unless 0 < k < 1 or d is empty.
     """
     import numpy as np
     if not 0.0 < k < 1.0:
@@ -236,13 +236,14 @@ def fuzzy_fixed_point(d, d_f, k: float, pair_at: Callable) -> FuzzyFixedPointRep
     ts = np.array(T_GRID)
     violations, min_margin, max_abs, witness = 0, math.inf, 0.0, None
     for lo in range(0, d.size, _AUDIT_ROWS):
-        margin = _grade(k * ts, d_f[lo:lo + _AUDIT_ROWS, None])
-        margin -= _grade(ts, d[lo:lo + _AUDIT_ROWS, None])
+        a, b = d[lo:lo + _AUDIT_ROWS, None], d_f[lo:lo + _AUDIT_ROWS, None]
+        margin = ts * (k * a - b) / ((k * ts + b) * (ts + a))
         failed = margin < -AUDIT_SLACK
         violations += int(np.count_nonzero(failed))
         if witness is None and (bad := _first(failed)) is not None:
-            x, y = pair_at(lo + int(bad[0]))
-            witness = {"x": x, "y": y, "t": T_GRID[bad[1]], "margin": float(margin[bad])}
+            i, j = int(bad[0]), int(np.argmin(margin[bad[0]]))
+            x, y = pair_at(lo + i)
+            witness = {"x": x, "y": y, "t": T_GRID[j], "margin": float(margin[i, j])}
         # fmin/fmax skip NaN margins, as the comparisons that count violations do
         min_margin = np.fmin.reduce(margin, axis=None, initial=min_margin)
         max_abs = np.fmax.reduce(np.abs(margin, out=margin), axis=None, initial=max_abs)

@@ -69,7 +69,7 @@ def test_criterion_02_metric_axioms():
         assert check.passed, check
     assert report.passed
     print("[acceptance 02] PASS - 10000 random triples: symmetry exact, "
-          "identity at 1e-14 parameter equality, triangle slack 1e-12")
+          "identity at exact parameter equality, triangle slack 1e-12")
 
 
 def test_criterion_03_convergence_and_uniqueness(default_runs):

@@ -136,10 +136,8 @@ def _reference_metric_axioms(samples=10000, rng_seed=0, mu_range=(-10.0, 10.0),
     ))
 
     d_self = distance_from_params(mu[0], sg[0], mu[0], sg[0])
-    rel_equal = (np.abs(mu[0] - mu[1]) <= 1e-14 * np.maximum(np.abs(mu[0]), np.abs(mu[1]))) & (
-        np.abs(sg[0] - sg[1]) <= 1e-14 * np.maximum(sg[0], sg[1]))
     bad_zero = np.nonzero(d_self != 0.0)[0]
-    bad_pos = np.nonzero(~rel_equal & (d_ab <= 0.0))[0]
+    bad_pos = np.nonzero(((mu[0] != mu[1]) | (sg[0] != sg[1])) & (d_ab <= 0.0))[0]
     ident_ok = bad_zero.size == 0 and bad_pos.size == 0
     witness = None
     if bad_zero.size:
@@ -235,6 +233,28 @@ def test_metric_axioms_equal_the_reference(slack, samples, seed, ranges):
     audit = audit_metric_axioms(samples, seed, triangle_slack=slack, **box)
     assert audit == _reference_metric_axioms(samples, seed, triangle_slack=slack, **ranges)
     assert audit.passed is (slack >= 0.0)
+
+
+def _naive_distance(mu1, sg1, mu2, sg2):
+    """sqrt(2 - 2<a|b>) as written: distinct states whose overlap rounds to 1 get 0."""
+    ss = sg1 * sg1 + sg2 * sg2
+    overlap = np.sqrt(2.0 * (sg1 * sg2) / ss) * np.exp(-((mu1 - mu2) ** 2) / (2.0 * ss))
+    return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * overlap))
+
+
+@pytest.mark.parametrize("kernel", [distance_from_params, _naive_distance],
+                         ids=["real-kernel", "naive-kernel"])
+def test_identity_check_is_exact_on_states_a_few_ulps_apart(kernel, monkeypatch):
+    # the parameters differ by at most 2**-50, inside any relative tolerance above
+    # 1e-15, so only the exact rule sees the naive kernel's distance 0
+    monkeypatch.setattr(gaussian, "distance_from_params", kernel)
+    box = ParameterBox(1.0, 1.0 + 2**-50, 1.0, 1.0 + 2**-50)
+    report = audit_metric_axioms(500, 0, box)
+    identity = {c.name: c for c in report.checks}["identity_of_indiscernibles"]
+    assert identity.passed is (kernel is distance_from_params)
+    if not identity.passed:
+        w = identity.witness
+        assert w["a"] != w["b"] and w["d_ab"] == 0.0
 
 
 # ------------------------------------------------------- one witness rule

@@ -752,7 +752,13 @@ def test_broken_pipe_on_stdout_exits_2_with_one_error_line():
 # those outputs is unchanged.  The three compare json digests were re-taken when
 # the condition audit moved from random t draws to one fixed log-spaced grid over
 # T_RANGE: max_abs_margin, and for compare-witness the violation count, the
-# min_margin and the witness, changed; every other value is unchanged.
+# min_margin and the witness, changed; every other value is unchanged.  They were
+# re-taken again when the audit came to grade each margin in its factored form
+# t(k d - d_f)/((kt + d_f)(t + d)) and to report the witness pair at its least grid
+# margin: min_margin, which was -1.1102230246251565e-16 in compare and compare-seed3,
+# is 0, max_abs_margin and compare-witness's min_margin moved in their last digits,
+# and compare-witness's witness is the same pair at t = 0.25118864315095796 instead of
+# 0.001, with its margin there; every other value is unchanged.
 GOLDEN_ARGVS = {
     "distance": ["distance", "--a", "0,1", "--b", "2,1"],
     "distance-quadrature": ["distance", "--a", "0,1", "--b", "0.5,2", "--quadrature"],
@@ -811,13 +817,13 @@ GOLDEN_DIGESTS = {
     "audit-banach-k1.5-json": "1c068c04551ecd439386df6a756b4f61289cf5a44a55211a058ce0f5630d520c",
     "audit-banach-k1.5-csv": "1c068c04551ecd439386df6a756b4f61289cf5a44a55211a058ce0f5630d520c",
     "audit-banach-k1.5-table": "1c068c04551ecd439386df6a756b4f61289cf5a44a55211a058ce0f5630d520c",
-    "compare-json": "2500942cdfc28d3f14accddfaa45df9b71e316a7aa8b1be3a44b70589f3a34c2",
+    "compare-json": "11572e5cac1488683d47ca35f6eddc949f9ced8c5240e7818cacafd3f11e8261",
     "compare-csv": "5bedf00427676db78c017f9abe63ae756b800f9523c63e3ad334dee32e43453b",
     "compare-table": "2d1d5d847112e80f5235efc497e4fe3ecb97ebce3c70080f6be273ccdf0f0956",
-    "compare-seed3-json": "52e26b3ee7182109fc174a6554825dd46fc1d1cfa6ecbb1bc1c1be59eb4dc9f7",
+    "compare-seed3-json": "a1de943b45d6f0bcb2abf4257faf4ca8826af48f832e655250f5c2ca665e23ec",
     "compare-seed3-csv": "34c4b7be8dc9a468195976a43e8f9f17a3c7d332595484c02d5f814f0c42aa87",
     "compare-seed3-table": "a1d18242a7cab745c1b5501b2716fa48a654714b58b97fae395196da672cf8bd",
-    "compare-witness-json": "31d8802def47b6b63ee5522203b39b9ce5c82fc4715c3ade2ba38adeb7b281e1",
+    "compare-witness-json": "831808f7e50ac001fb0c635d2e9b2924e9fdb0ce77f7c3e704e17eb889a75861",
     "compare-witness-csv": "3ab89d8f6d340d3c70c5d56c4c38fea951dc7269cea808e9e19b428739450e3e",
     "compare-witness-table": "0b5aab587bdc8ef0d6a6ccbe205e0ac1cec84670bd1126beffe209bd556228c3",
     "negative-sigma-json": "bfa39869f8e463ae20f25bb343376b40c6f60c43a1f5b97efbf54ba85fccbc6e",

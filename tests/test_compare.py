@@ -146,7 +146,7 @@ def test_feature_report_condition_audit_equals_generic_audit(m, seed):
     assert (got.samples, got.violations, got.holds) == (want.samples, want.violations,
                                                         want.holds)
     # the array distances differ from the scalar kernel's by at most a few
-    # ulps, and margins are differences of grades in [0, 1]
+    # ulps, and a margin, in [-1, 1], moves by less than their relative error
     def close(x):
         return pytest.approx(x, rel=0, abs=4 * math.ulp(1.0))
     assert got.min_margin == close(want.min_margin)
@@ -172,8 +172,16 @@ def test_passing_condition_audit_reports_the_exact_min_margin(m, seed):
     for x, y in pairs:
         d, d_f = state_distance(x, y), state_distance(apply_map(m, x), apply_map(m, y))
         for t in T_RANGE:
-            ends = min(ends, k * t / (k * t + d_f) - t / (t + d))
-    assert fuzzy.condition.min_margin == pytest.approx(ends, rel=0, abs=4 * math.ulp(1.0))
+            ends = min(ends, t * (k * d - d_f) / ((k * t + d_f) * (t + d)))
+    assert fuzzy.condition.min_margin == ends
+
+
+@pytest.mark.parametrize("m", DEFAULT_MAPS)
+def test_a_passing_condition_audit_reports_no_negative_margin(m):
+    # each margin has the sign of k d - d_f, so rounding cannot take a held one below 0
+    for seed in range(6):
+        _, _, fuzzy = build_feature_report(m, GaussianState(4, 3), rng_seed=seed)
+        assert not fuzzy.condition.holds or fuzzy.condition.min_margin >= 0.0, seed
 
 
 def test_feature_report_comes_from_the_traced_fuzzy_fixed_point(monkeypatch):

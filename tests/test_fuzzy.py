@@ -3,9 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qfixpoint import fuzzy
 from qfixpoint.compare import gaussian_parameter_metric, gaussian_state_sampler
 from qfixpoint.fuzzy import (_AUDIT_ROWS, AUDIT_SLACK, T_GRID, T_RANGE, T_SAMPLES,
                              FuzzyMetric, TNormKind, _grade, _tnorm_fn, absolute_difference,
@@ -267,6 +268,28 @@ def test_fuzzy_fixed_point_accepts_explicit_pairs():
     assert report.condition.holds
 
 
+# a state distance: zero, subnormal, or anywhere up to sqrt(2)
+state_distances = st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(0.0, math.sqrt(2.0)))
+
+
+@settings(max_examples=200)
+@given(state_distances, state_distances, st.floats(1e-6, 1.0 - 1e-12))
+# d_f = k d, where the difference of the two grades rounds to -1.1e-16 at t = 25.1
+@example(1.1984522839891483, 0.16103017266597042, 0.13436510974802274)
+def test_condition_margin_has_the_sign_of_k_d_minus_d_f(d, d_f, k):
+    kd_minus_df = k * d - d_f
+    for t in T_GRID:
+        # grade the one pair at this t alone, so that min_margin is its margin there
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(fuzzy, "T_GRID", (t,))
+            margin = fuzzy_fixed_point(np.array([d]), np.array([d_f]), k,
+                                       lambda i: (d, d_f)).condition.min_margin
+        # never of the opposite sign, and exactly 0 where k d = d_f
+        assert kd_minus_df < 0.0 or margin >= 0.0, t
+        assert kd_minus_df > 0.0 or margin <= 0.0, t
+        assert abs(margin - (k * t / (k * t + d_f) - t / (t + d))) <= 4 * 2**-52, t
+
+
 # ------------------------------------------ scalar reference implementations
 #
 # The per-t loops that the vectorized audits replaced, kept as plain loops so the
@@ -290,15 +313,16 @@ def _scalar_condition(d, d_f, k, pairs):
     max_abs = 0.0
     witness = None
     for (x, y), dxy, dfxy in zip(pairs, d.tolist(), d_f.tolist()):
-        for t in T_GRID:
-            margin = k * t / (k * t + dfxy) - t / (t + dxy)
+        margins = [t * (k * dxy - dfxy) / ((k * t + dfxy) * (t + dxy)) for t in T_GRID]
+        for margin in margins:
             samples += 1
             min_margin = min(min_margin, margin)
             max_abs = max(max_abs, abs(margin))
-            if margin < -AUDIT_SLACK:
-                violations += 1
-                if witness is None:
-                    witness = {"x": x, "y": y, "t": t, "margin": float(margin)}
+            violations += margin < -AUDIT_SLACK
+        # the first violating pair, at its least margin on the grid
+        if witness is None and min(margins) < -AUDIT_SLACK:
+            j = margins.index(min(margins))
+            witness = {"x": x, "y": y, "t": T_GRID[j], "margin": margins[j]}
     return samples, violations, float(min_margin), float(max_abs), witness
 
 
