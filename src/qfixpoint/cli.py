@@ -217,13 +217,13 @@ def _run_audits(args):
         if not run.converged:
             raise NotConvergedError("iteration did not converge; no bounds to verify")
         k = run.k_estimate if args.k is None else args.k
-        if args.k is None and not 0.0 <= k < 1.0:
-            raise ValueError(f"--k was not given and the trace's k_estimate {k:.17g} is "
-                           "not in [0, 1); pass --k with 0 <= k < 1")
+        # a converged run has at least 2 iterates, so the audit refuses only a k outside [0, 1)
         try:
             reports = {"banach-bounds": verify_banach_bounds(run, k)}
         except ValueError as exc:
-            raise ValueError(f"--k: {exc}") from None
+            raise ValueError(f"--k: {exc}" if args.k is not None else
+                             f"--k was not given and the trace's k_estimate {k:.17g} is "
+                             "not in [0, 1); pass --k with 0 <= k < 1") from None
         inputs = {"target": args.target, "map": m, "start": start, "tolerance": args.tol,
                   "max_iterations": args.max_iter, "k": k}
     return inputs, reports
@@ -293,7 +293,14 @@ def _cmd_compare(args) -> int:
 
 # -------------------------------------------------------------------- parser
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, trace=("0.5,0,0.5,0.5", "4,3")) -> None:
+    # the trace options first, given their (map, start) defaults, None for required; () for none
+    if trace:
+        p.add_argument("--map", default=trace[0], required=trace[0] is None,
+                       metavar="MU_SCALE,MU_SHIFT,SIGMA_SCALE,SIGMA_SHIFT")
+        p.add_argument("--start", default=trace[1], required=trace[1] is None, metavar="MU,SIGMA")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
+        p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS)
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.add_argument("--out", default=None, help="write output to this file")
 
@@ -316,15 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the quadrature cross-check")
     p.add_argument("--half-width", type=float, default=DEFAULT_QUADRATURE.half_width_sigmas)
     p.add_argument("--panels", type=int, default=DEFAULT_QUADRATURE.panels)
-    _add_common(p)
+    _add_common(p, ())
     p.set_defaults(func=_cmd_distance)
 
     p = sub.add_parser("iterate", help="run the contraction iteration")
-    p.add_argument("--map", required=True, metavar="MU_SCALE,MU_SHIFT,SIGMA_SCALE,SIGMA_SHIFT")
-    p.add_argument("--start", required=True, metavar="MU,SIGMA")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS)
-    _add_common(p)
+    _add_common(p, (None, None))
     p.set_defaults(func=_cmd_iterate)
 
     p = sub.add_parser("audit", help="run axiom/bound audits")
@@ -338,24 +341,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-samples", type=int, default=16)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--map", default="0.5,0,0.5,0.5")
-    p.add_argument("--start", default="4,3")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS)
     p.add_argument("--k", type=float, default=None,
                    help="contraction factor for banach-bounds (default: trace estimate)")
     _add_common(p)
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("compare", help="quantum vs fuzzy feature comparison")
-    p.add_argument("--map", default="0.5,0,0.5,0.5")
-    p.add_argument("--start", default="4,3")
+    # trace options first here and last in audit, the order in which an ambiguous --s lists them
+    _add_common(p)
     p.add_argument("--probe-a", default="0,1")
     p.add_argument("--probe-b", default="1,1")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
     p.set_defaults(func=_cmd_compare)
 
     return parser

@@ -225,14 +225,16 @@ def fuzzy_fixed_point(d, d_f, k: float, pair_at: Callable) -> FuzzyFixedPointRep
     _AUDIT_ROWS pairs at a time at every t of T_GRID as t(k d - d_f)/((kt + d_f)(t + d)),
     which has the sign of k d - d_f and, where >= 0, is least at an end of T_RANGE: so
     ``min_margin`` is exact and >= 0 whenever the condition holds.  The witness is the
-    first violating pair, ``pair_at(i)``, at its least margin on T_GRID; NaN margins
-    count as neither violations nor extremes.  Raises ValueError unless 0 < k < 1 or d is empty.
+    first violating pair, ``pair_at(i)``, at its least margin on T_GRID.  Raises
+    ValueError unless 0 < k < 1, d is not empty and every distance is finite and >= 0.
     """
     import numpy as np
     if not 0.0 < k < 1.0:
         raise ValueError("k must lie in (0, 1)")
     if d.size == 0:
         raise ValueError("the condition audit needs at least one pair")
+    if not all(((x >= 0.0) & (x < math.inf)).all() for x in (d, d_f)):
+        raise ValueError("the condition audit needs finite nonnegative distances")
     ts = np.array(T_GRID)
     violations, min_margin, max_abs, witness = 0, math.inf, 0.0, None
     for lo in range(0, d.size, _AUDIT_ROWS):

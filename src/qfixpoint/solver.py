@@ -28,7 +28,6 @@ __all__ = [
     "DEFAULT_REGION",
     "DEFAULT_TOLERANCE",
     "DEFAULT_MAX_ITERATIONS",
-    "apply_map",
     "analytic_fixed_point",
     "sample_state_pairs",
     "estimate_contraction_factor",
@@ -119,12 +118,6 @@ DEFAULT_STARTS = (
 DEFAULT_REGION = ParameterBox(-5.0, 5.0, 0.3, 5.0)
 
 
-def apply_map(m: AffineGaussianMap, state: GaussianState) -> GaussianState:
-    """Apply the affine parameter map to a state."""
-    return GaussianState(m.mu_scale * state.mu + m.mu_shift,
-                         m.sigma_scale * state.sigma + m.sigma_shift)
-
-
 def analytic_fixed_point(m: AffineGaussianMap) -> GaussianState:
     """Exact fixed point of the affine parameter recursion."""
     return GaussianState(m.mu_shift / (1.0 - m.mu_scale),
@@ -147,7 +140,6 @@ def _estimator_sample(m: AffineGaussianMap, region: ParameterBox, samples: int, 
     rng = np.random.default_rng(rng_seed)
     (mu1, sg1), (mu2, sg2) = region.sample(rng, samples), region.sample(rng, samples)
     d = distance_from_params(mu1, sg1, mu2, sg2)
-    # each pair mapped as apply_map does
     d_f = distance_from_params(m.mu_scale * mu1 + m.mu_shift, m.sigma_scale * sg1 + m.sigma_shift,
                                m.mu_scale * mu2 + m.mu_shift, m.sigma_scale * sg2 + m.sigma_shift)
     mask = d >= 1e-12
@@ -188,7 +180,6 @@ def iterate_to_fixed_point(m: AffineGaussianMap, start: GaussianState,
     mu, sigma = start.mu, start.sigma
     mus, sigmas, steps = [mu], [sigma], []
     for _ in range(max_iterations):
-        # apply_map's arithmetic on the floats
         nmu, nsigma = a * mu + b, c * sigma + e
         if not (math.isfinite(nmu) and math.isfinite(nsigma)):
             GaussianState(nmu, nsigma)  # raises the state's own error

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -347,6 +348,9 @@ def test_nan_tolerance_exits_2(capsys, argv):
     # refused before the audit prints anything, with --k given
     *(["audit", "--target", "banach-bounds", "--map=0.99,0,0.5,0.5", "--start=0,1e155",
        "--max-iter", "1000000", "--k", "0.999", "--format", fmt] for fmt in ("table", "csv")),
+    # the probe overlap's 2*(sigma_a**2 + sigma_b**2) overflows: without the guard the
+    # excess would print 0.0, where it is about 8.9e-78
+    ["compare", "--probe-a=0,1e155"],
 ])
 def test_overflowing_parameters_exit_2(capsys, argv):
     code = main(argv)
@@ -511,6 +515,24 @@ def test_tnorm_audit_checks_the_options_it_ignores(capsys, option, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, options", [
+    ("distance", "--a --b --quadrature --half-width --panels"),
+    ("iterate", ""),
+    ("compare", "--probe-a --probe-b --seed"),
+    ("audit", "--target --kind --resolution --carrier --points --t-samples --samples --seed --k"),
+], ids=["distance", "iterate", "compare", "audit"])
+def test_help_prints_the_usage_and_exits_0(capsys, command, options):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.out.startswith(f"usage: qfixpoint {command} ")
+    assert captured.err == ""
+    trace = "" if command == "distance" else "--map --start --tol --max-iter"
+    want = {"--help", *options.split(), *trace.split(), "--format", "--out"}
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", captured.out)) == want
 
 
 def test_only_banach_bounds_parses_map_start_and_k(capsys):

@@ -13,7 +13,8 @@ from qfixpoint.fuzzy import (_AUDIT_ROWS, AUDIT_SLACK, T_GRID, T_RANGE, T_SAMPLE
                              audit_gv_axioms, audit_tnorm_axioms, audit_tnorm_ordering,
                              fuzzy_fixed_point, real_line_sampler)
 from qfixpoint.reports import AuditCheck, AxiomAuditReport
-from qfixpoint.solver import DEFAULT_REGION, AffineGaussianMap, apply_map
+from qfixpoint.gaussian import GaussianState
+from qfixpoint.solver import DEFAULT_REGION, AffineGaussianMap
 
 unit = st.floats(0.0, 1.0)
 
@@ -240,6 +241,15 @@ def test_fuzzy_fixed_point_rejects_an_empty_condition_audit(inputs):
         fuzzy_fixed_point(k=0.5, pair_at=lambda i: (i, i), **inputs)
 
 
+@pytest.mark.parametrize("d, d_f", [
+    (math.nan, 0.1), (0.1, math.nan), (0.1, math.inf), (math.inf, 0.1), (-0.1, 0.1), (0.1, -0.1),
+], ids=["nan-d", "nan-d_f", "inf-d_f", "inf-d", "negative-d", "negative-d_f"])
+def test_fuzzy_fixed_point_refuses_non_finite_or_negative_distances(d, d_f):
+    # a NaN or infinite distance grades a NaN margin, which would count as no violation
+    with pytest.raises(ValueError, match="finite nonnegative distances"):
+        fuzzy_fixed_point(np.array([1.0, d]), np.array([0.5, d_f]), 0.5, lambda i: (i, i))
+
+
 def test_samplers_draw_from_their_fixed_ranges():
     rng = np.random.default_rng(4)
     xs = [real_line_sampler()(rng) for _ in range(500)]
@@ -390,22 +400,24 @@ GAUSSIAN = gaussian_parameter_metric()
 MAP = AffineGaussianMap(0.2, 0.4, 0.2, 0.7)  # sampled contraction factor about 0.87
 
 
+def _image(m, s):
+    """The state m sends s to, by the map's parameter arithmetic."""
+    return GaussianState(m.mu_scale * s.mu + m.mu_shift, m.sigma_scale * s.sigma + m.sigma_shift)
+
+
 # ------------------------------------------- vectorized == scalar reference
 
 @pytest.mark.parametrize("fm, f, k, sampler, holds", [
     # k below the map's factor: the condition fails on most pairs
-    (GAUSSIAN, lambda s: apply_map(MAP, s), 0.3, gaussian_state_sampler(), False),
+    (GAUSSIAN, lambda s: _image(MAP, s), 0.3, gaussian_state_sampler(), False),
     # k above it: the condition holds with small positive margins
-    (GAUSSIAN, lambda s: apply_map(MAP, s), 0.9, gaussian_state_sampler(), True),
+    (GAUSSIAN, lambda s: _image(MAP, s), 0.9, gaussian_state_sampler(), True),
     # k a hair below the factor 1/2: a margin falls below -AUDIT_SLACK only
     # for t within about two decades of d(x, y), so the violations are
     # scattered over (pair, t) and the witness order matters
     (LINE, lambda x: x / 2, 0.5 - 1e-10, lambda rng: float(10.0 ** rng.uniform(-3, 1)), False),
     # an expanding map on the line violates the condition for every k
     (LINE, lambda x: 1.5 * x + 0.1, 0.5, real_line_sampler(), False),
-    # NaN margins count as neither violations nor extremes
-    (FuzzyMetric(base_distance=lambda x, y: math.nan if x > 5.0 else abs(x - y)),
-     lambda x: x / 2, 0.3, real_line_sampler(), False),
 ])
 def test_condition_audit_equals_scalar_loop(fm, f, k, sampler, holds):
     rng = np.random.default_rng(3)
@@ -431,14 +443,12 @@ def test_blocked_condition_audit_equals_scalar_loop(t_samples, pairs):
     assert rows * t_samples == 8192
     # pair i starts at x = i; f halves the first block's distances (the
     # condition holds at k = 0.6) and triples the later ones, so the first
-    # violation is the second block's first pair; d(x, y) is NaN from the
-    # third block's second pair on, and f maps those points below 0
+    # violation is the second block's first pair
     def f(x):
         return x / 2 if x < rows else -3.0 * x
-    fm = FuzzyMetric(base_distance=lambda x, y: math.nan if x > 2 * rows + 0.5 else abs(x - y))
     gaps = np.random.default_rng(5).uniform(0.01, 0.5, pairs)
     condition_pairs = [(float(i), i + float(g)) for i, g in enumerate(gaps)]
-    d, d_f = _pair_distances(fm, f, condition_pairs)
+    d, d_f = _pair_distances(LINE, f, condition_pairs)
     c = fuzzy_fixed_point(d, d_f, 0.6, condition_pairs.__getitem__).condition
     want = _scalar_condition(d, d_f, 0.6, condition_pairs)
     assert (c.samples, c.violations, c.min_margin, c.max_abs_margin, c.witness) == want

@@ -403,10 +403,15 @@ def test_distance_matches_vectorized_form_bitwise_without_avx512_kernels():
     ((1e155, 1e155), (0.0, 1.0)),  # (mu_a - mu_b)**2 and sigma_a**2 overflow
     ((0.0, 1e160), (0.0, 1.0000001e160)),  # sigma_a**2 overflows
     ((0.0, 0.8e154), (1e154, 0.8e154)),  # only 2*(sigma_a**2 + sigma_b**2) overflows
+    # sigma_a**2 overflows: unguarded, the overlap would be 0.0, where it is 4.5e-78
+    ((0.0, 1e155), (0.0, 1.0)),
 ])
 def test_vectorized_distance_refuses_overflow_like_the_scalar_one(a, b):
     with pytest.raises(OverflowError):
         state_distance(GaussianState(*a), GaussianState(*b))
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(OverflowError, match="overflows"):
+            overlap_closed_form(GaussianState(*x), GaussianState(*y))
     # one overflowing pair among ordinary ones, and no RuntimeWarning on the way
     mu1, sg1, mu2, sg2 = (np.array([1.0, v, 2.0]) for v in (*a, *b))
     with warnings.catch_warnings():

@@ -13,7 +13,7 @@ from qfixpoint.compare import gaussian_state_sampler
 from qfixpoint.gaussian import GaussianState, state_distance
 from qfixpoint.solver import (DEFAULT_MAPS, DEFAULT_REGION, DEFAULT_STARTS,
                               AffineGaussianMap, FixedPointReport, NotConvergedError,
-                              ParameterBox, analytic_fixed_point, apply_map,
+                              ParameterBox, analytic_fixed_point,
                               estimate_contraction_factor, iterate_to_fixed_point,
                               verify_banach_bounds, verify_uniqueness)
 
@@ -126,18 +126,29 @@ def test_gaussian_state_sampler_keeps_the_old_stream(seed):
     assert _bits([(s.mu, s.sigma) for s in got]) == _bits([(s.mu, s.sigma) for s in want])
 
 
-def test_apply_map_direct_arithmetic():
-    out = apply_map(MAP_HALVING, GaussianState(4, 3))
-    assert (out.mu, out.sigma) == (2.0, 2.0)
-    out = apply_map(MAP_CONSTANT, GaussianState(123.0, 45.0))
-    assert (out.mu, out.sigma) == (0.0, 1.0)
+def _image(m, s):
+    """The state m sends s to, by the map's parameter arithmetic."""
+    return GaussianState(m.mu_scale * s.mu + m.mu_shift, m.sigma_scale * s.sigma + m.sigma_shift)
+
+
+def _one_step(m, s):
+    """Iterate 1 of the Picard loop from s, as (mu, sigma)."""
+    report = iterate_to_fixed_point(m, s, max_iterations=1)
+    assert report.iterations_used == 1 and len(report.mus) == 2
+    return report.mus[1], report.sigmas[1]
+
+
+def test_one_picard_step_direct_arithmetic():
+    assert _one_step(MAP_HALVING, GaussianState(4, 3)) == (2.0, 2.0)
+    assert _one_step(MAP_CONSTANT, GaussianState(123.0, 45.0)) == (0.0, 1.0)
 
 
 @settings(max_examples=100)
 @given(maps, states)
-def test_apply_map_preserves_state_validity(m, s):
-    out = apply_map(m, s)
-    assert out.sigma > 0.0
+def test_one_picard_step_preserves_state_validity(m, s):
+    mu, sigma = _one_step(m, s)
+    assert math.isfinite(mu) and math.isfinite(sigma) and sigma > 0.0
+    assert GaussianState(mu, sigma) == _image(m, s)
 
 
 # ------------------------------------------------------ analytic fixed point
@@ -155,7 +166,7 @@ def test_analytic_fixed_point_solves_recursion():
 @given(maps)
 def test_analytic_fixed_point_is_fixed(m):
     fp = analytic_fixed_point(m)
-    out = apply_map(m, fp)
+    out = _image(m, fp)
     assert state_distance(out, fp) < 1e-13
 
 
@@ -222,7 +233,7 @@ def test_iterate_respects_budget():
 
 def test_iterate_fixed_point_is_nearly_invariant():
     report = iterate_to_fixed_point(MAP_HALVING, GaussianState(4, 3), 1e-12, 10000)
-    moved = apply_map(MAP_HALVING, report.fixed_point)
+    moved = _image(MAP_HALVING, report.fixed_point)
     assert state_distance(moved, report.fixed_point) <= 1e-12
 
 
@@ -256,13 +267,13 @@ def test_iterate_trace_carries_the_banach_quantities():
 
 
 def _reference_trace(m, start, tolerance, max_iterations):
-    """The Picard loop on states: apply_map, GaussianState and state_distance per step.
+    """The Picard loop on states: _image, GaussianState and state_distance per step.
 
     Its bounds are empty when no step ratio was observed, as the report's are.
     """
     iterates, steps = [start], []
     for _ in range(max_iterations):
-        nxt = apply_map(m, iterates[-1])
+        nxt = _image(m, iterates[-1])
         steps.append(state_distance(nxt, iterates[-1]))
         iterates.append(nxt)
         if steps[-1] <= tolerance:
