@@ -226,15 +226,16 @@ def fuzzy_fixed_point(d, d_f, k: float, pair_at: Callable) -> FuzzyFixedPointRep
     which has the sign of k d - d_f and, where >= 0, is least at an end of T_RANGE: so
     ``min_margin`` is exact and >= 0 whenever the condition holds.  The witness is the
     first violating pair, ``pair_at(i)``, at its least margin on T_GRID.  Raises
-    ValueError unless 0 < k < 1, d is not empty and every distance is finite and >= 0.
+    ValueError unless 0 < k < 1, d is not empty and every distance lies in [0, 1e154]:
+    above that (kt + d_f)(t + d) can overflow at t = 1000 into a margin of 0 or NaN.
     """
     import numpy as np
     if not 0.0 < k < 1.0:
         raise ValueError("k must lie in (0, 1)")
     if d.size == 0:
         raise ValueError("the condition audit needs at least one pair")
-    if not all(((x >= 0.0) & (x < math.inf)).all() for x in (d, d_f)):
-        raise ValueError("the condition audit needs finite nonnegative distances")
+    if not all(((x >= 0.0) & (x <= 1e154)).all() for x in (d, d_f)):
+        raise ValueError("the condition audit needs finite nonnegative distances, at most 1e154")
     ts = np.array(T_GRID)
     violations, min_margin, max_abs, witness = 0, math.inf, 0.0, None
     for lo in range(0, d.size, _AUDIT_ROWS):

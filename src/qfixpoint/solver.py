@@ -11,10 +11,10 @@ estimate_contraction_factor returns the largest sampled ratio: a lower
 bound on the region's sup ratio.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
+# state_distance is not called here, but the benchmark tracer patches solver.state_distance
 from .gaussian import (SQRT2, GaussianState, ParameterBox, _pair_distance, distance_from_params,
                        state_distance)
 from .reports import AxiomAuditReport, check
@@ -33,7 +33,6 @@ __all__ = [
     "estimate_contraction_factor",
     "iterate_to_fixed_point",
     "verify_banach_bounds",
-    "verify_uniqueness",
 ]
 
 # ratios of consecutive steps below this floor are dominated by rounding noise
@@ -239,33 +238,3 @@ def verify_banach_bounds(report: FixedPointReport, k: float) -> AxiomAuditReport
               lambda n: {"n": n, "distance_to_fixed_point": dist[n], "bound": tail_bound[n]},
               detail="d(iterate[n], fixed_point) <= k^n/(1-k) * step[0] + slack"),
     ))
-
-
-def verify_uniqueness(m: AffineGaussianMap, starts, tolerance: float = DEFAULT_TOLERANCE,
-                      max_iterations: int = DEFAULT_MAX_ITERATIONS) -> AxiomAuditReport:
-    """Run the iteration from several starts and require one common limit.
-
-    Passes when all resulting fixed points are pairwise within
-    10 * tolerance of each other.  Raises NotConvergedError if any run
-    exhausts its budget.
-    """
-    starts = tuple(starts)
-    if len(starts) < 2:
-        raise ValueError("need at least 2 starts")
-
-    fixed_points = []
-    for start in starts:
-        report = iterate_to_fixed_point(m, start, tolerance, max_iterations)
-        if not report.converged:
-            raise NotConvergedError(f"iteration from ({start.mu}, {start.sigma}) "
-                                    f"did not converge in {max_iterations} steps")
-        fixed_points.append(report.fixed_point)
-
-    pairs = list(itertools.combinations(range(len(fixed_points)), 2))
-    d = [state_distance(fixed_points[i], fixed_points[j]) for i, j in pairs]
-    threshold = 10.0 * tolerance
-    return AxiomAuditReport(target="uniqueness", checks=(check(
-        "common_fixed_point", [x > threshold for x in d],
-        lambda p: {"start_i": pairs[p][0], "start_j": pairs[p][1], "distance": d[p],
-                   "threshold": threshold},
-        detail=f"max pairwise distance {max(d):.3e}"),))

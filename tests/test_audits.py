@@ -10,9 +10,8 @@ from qfixpoint.fuzzy import (LOG_T_RANGE, FuzzyMetric, TNormKind, _tnorm_fn, abs
 from qfixpoint.gaussian import (SQRT2, GaussianState, ParameterBox, audit_metric_axioms,
                                distance_from_params, state_distance)
 from qfixpoint.reports import AuditCheck, AxiomAuditReport, check
-from qfixpoint.solver import (DEFAULT_MAPS, DEFAULT_STARTS, DEFAULT_TOLERANCE,
-                              DEFAULT_MAX_ITERATIONS, AffineGaussianMap, NotConvergedError,
-                              iterate_to_fixed_point, verify_banach_bounds, verify_uniqueness)
+from qfixpoint.solver import (DEFAULT_MAPS, DEFAULT_STARTS, AffineGaussianMap,
+                              iterate_to_fixed_point, verify_banach_bounds)
 
 
 # ---------------------------------------------------------- reports.check
@@ -44,9 +43,8 @@ def test_check_witnesses_the_first_failure_in_row_major_order():
 #
 # The audits as they were before they took their witnesses from failure
 # masks, kept verbatim apart from the report's passed= argument, which the
-# report now derives from its checks, NotConvergedError's report=, which the
-# exception no longer takes, and the trace, which the report now holds as
-# float columns.
+# report now derives from its checks, and the trace, which the report now
+# holds as float columns.
 
 def _reference_banach_bounds(report, k, slack=1e-12):
     if not 0.0 <= k < 1.0:
@@ -81,37 +79,6 @@ def _reference_banach_bounds(report, k, slack=1e-12):
                              detail="d(iterate[n], fixed_point) <= k^n/(1-k) * step[0] + slack"))
 
     return AxiomAuditReport(target="banach-bounds", checks=tuple(checks))
-
-
-def _reference_uniqueness(m, starts, tolerance=DEFAULT_TOLERANCE,
-                          max_iterations=DEFAULT_MAX_ITERATIONS):
-    starts = tuple(starts)
-    if len(starts) < 2:
-        raise ValueError("need at least 2 starts")
-
-    fixed_points = []
-    for start in starts:
-        report = iterate_to_fixed_point(m, start, tolerance, max_iterations)
-        if not report.converged:
-            raise NotConvergedError(f"iteration from ({start.mu}, {start.sigma}) "
-                                    f"did not converge in {max_iterations} steps")
-        fixed_points.append(report.fixed_point)
-
-    threshold = 10.0 * tolerance
-    witness = None
-    worst = 0.0
-    pairs = 0
-    for i in range(len(fixed_points)):
-        for j in range(i + 1, len(fixed_points)):
-            pairs += 1
-            d = state_distance(fixed_points[i], fixed_points[j])
-            if d > worst:
-                worst = d
-            if d > threshold and witness is None:
-                witness = {"start_i": i, "start_j": j, "distance": d, "threshold": threshold}
-    check = AuditCheck(name="common_fixed_point", passed=witness is None, checked=pairs,
-                       witness=witness, detail=f"max pairwise distance {worst:.3e}")
-    return AxiomAuditReport(target="uniqueness", checks=(check,))
 
 
 def _reference_metric_axioms(samples=10000, rng_seed=0, mu_range=(-10.0, 10.0),
@@ -208,18 +175,6 @@ def test_banach_bounds_equal_the_scalar_loop(m):
             failures += not audit.passed
     # k = 0 fails every map that moves more than one step
     assert failures or m.mu_scale == m.sigma_scale == 0.0
-
-
-@pytest.mark.parametrize("m", MAPS)
-@pytest.mark.parametrize("tolerance", [1e-12, 1e-3])
-def test_uniqueness_equals_the_scalar_loop(m, tolerance):
-    starts = (*DEFAULT_STARTS, GaussianState(0.5, 0.5))
-    _assert_same_report(verify_uniqueness(m, starts, tolerance),
-                        _reference_uniqueness(m, starts, tolerance))
-
-
-def test_uniqueness_reference_set_includes_a_failure():
-    assert not verify_uniqueness(MAPS[5], DEFAULT_STARTS, 1e-3).passed
 
 
 @pytest.mark.parametrize("slack", [1e-12, 0.0, -1e-3])
@@ -379,11 +334,13 @@ def _broken_kernel_case(wrong):
         all_d = [dist(x, y) for p, q in ((a, b), (b, c), (a, c)) for x, y in zip(p, q)]
         return audit_metric_axioms(500, 0), {
             "symmetry_exact": ([dist(x, y) != dist(y, x) for x, y in zip(a, b)], pair_at),
-            # row 0: each point with itself, row 1: distinct pairs at distance 0
+            # row 0: each point with itself, witnessed with its distance from itself,
+            # row 1: distinct pairs at distance 0
             "identity_of_indiscernibles": (
                 [[dist(x, x) != 0.0 for x in a],
                  [x != y and dist(x, y) <= 0.0 for x, y in zip(a, b)]],
-                lambda r, i: pair_at(i) if r else {"mu": a[i][0], "sigma": a[i][1]}),
+                lambda r, i: pair_at(i) if r else {"mu": a[i][0], "sigma": a[i][1],
+                                                   "distance": dist(a[i], a[i])}),
             "range": ([not 0.0 <= d <= SQRT2 for d in all_d], lambda i: {"distance": all_d[i]}),
         }
     return case
@@ -401,16 +358,6 @@ def _banach_case(monkeypatch):
         "geometric_tail_bound": ([x > k**n * (1.0 / (1.0 - k)) * s0 + SLACK
                                   for n, x in enumerate(dist)], lambda n: {"n": n}),
     }
-
-
-def _uniqueness_case(monkeypatch):
-    m, tolerance = MAPS[6], 1e-3
-    fps = [iterate_to_fixed_point(m, s, tolerance).fixed_point for s in DEFAULT_STARTS]
-    pairs = [(i, j) for i in range(len(fps)) for j in range(i + 1, len(fps))]
-    return verify_uniqueness(m, DEFAULT_STARTS, tolerance), {
-        "common_fixed_point": ([state_distance(fps[i], fps[j]) > 10 * tolerance
-                                for i, j in pairs],
-                               lambda p: {"start_i": pairs[p][0], "start_j": pairs[p][1]})}
 
 
 FAILING_CASES = {
@@ -433,8 +380,9 @@ FAILING_CASES = {
     "metric-zero-when-close": _broken_kernel_case(
         lambda d, mu1, mu2: np.where(np.abs(mu1 - mu2) < 1.0, 0.0, d)),
     "metric-above-sqrt2": _broken_kernel_case(lambda d, mu1, mu2: 1.5 * d),
+    # d(p, p) > 0 fails the rows of points with themselves
+    "metric-self-distance": _broken_kernel_case(lambda d, mu1, mu2: d + 1e-3),
     "banach-bounds": _banach_case,
-    "uniqueness": _uniqueness_case,
 }
 
 
@@ -464,8 +412,7 @@ def test_every_audit_check_has_an_input_that_fails_it():
     trace = iterate_to_fixed_point(DEFAULT_MAPS[0], DEFAULT_STARTS[0])
     reports = [*(audit_tnorm_axioms(kind) for kind in TNormKind), audit_tnorm_ordering(),
                audit_gv_axioms(FuzzyMetric(absolute_difference), real_line_sampler(), 16, 8),
-               audit_metric_axioms(100), verify_banach_bounds(trace, 0.5),
-               verify_uniqueness(DEFAULT_MAPS[0], DEFAULT_STARTS)]
+               audit_metric_axioms(100), verify_banach_bounds(trace, 0.5)]
     emitted = {(r.target, c.name) for r in reports for c in r.checks}
     failed = set()
     for case in FAILING_CASES.values():
@@ -474,4 +421,4 @@ def test_every_audit_check_has_an_input_that_fails_it():
         failed |= {(report.target, c.name) for c in report.checks
                    if c.name in masks and not c.passed}
     assert emitted - failed == set()
-    assert len(emitted) == 16
+    assert len(emitted) == 15

@@ -222,6 +222,16 @@ def test_audit_banach_bounds_explicit_bad_k_exits_2(capsys):
     assert captured.err == "error: --k: k must satisfy 0 <= k < 1\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_audit_banach_bounds_unconverged_run_exits_3(capsys, fmt):
+    # the default map takes 42 steps from the default start
+    code = main(["audit", "--target", "banach-bounds", "--max-iter", "5", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: iteration did not converge; no bounds to verify\n"
+
+
 def test_audit_unknown_target_exits_2(capsys):
     code = main(["audit", "--target", "bogus"])
     captured = capsys.readouterr()

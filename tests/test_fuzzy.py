@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -243,11 +244,25 @@ def test_fuzzy_fixed_point_rejects_an_empty_condition_audit(inputs):
 
 @pytest.mark.parametrize("d, d_f", [
     (math.nan, 0.1), (0.1, math.nan), (0.1, math.inf), (math.inf, 0.1), (-0.1, 0.1), (0.1, -0.1),
-], ids=["nan-d", "nan-d_f", "inf-d_f", "inf-d", "negative-d", "negative-d_f"])
+    (2e154, 0.1), (0.1, 2e154), (2e154, 2e154), (1e306, 0.1), (0.1, 1e306), (1e306, 1e306),
+], ids=["nan-d", "nan-d_f", "inf-d_f", "inf-d", "negative-d", "negative-d_f",
+        "2e154-d", "2e154-d_f", "2e154-both", "1e306-d", "1e306-d_f", "1e306-both"])
 def test_fuzzy_fixed_point_refuses_non_finite_or_negative_distances(d, d_f):
-    # a NaN or infinite distance grades a NaN margin, which would count as no violation
+    # a NaN or infinite distance grades a NaN margin, which would count as no violation;
+    # above 1e154, (kt + d_f)(t + d) can overflow at t = 1000 into a margin of 0 or NaN
     with pytest.raises(ValueError, match="finite nonnegative distances"):
         fuzzy_fixed_point(np.array([1.0, d]), np.array([0.5, d_f]), 0.5, lambda i: (i, i))
+
+
+@pytest.mark.parametrize("d, d_f", [(1e154, 0.5), (0.5, 1e154), (1e154, 1e154)],
+                         ids=["d", "d_f", "both"])
+def test_fuzzy_fixed_point_grades_distances_up_to_1e154(d, d_f):
+    # (kt + d_f)(t + d) at t = 1000 is about 1e308 here, still below the double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = fuzzy_fixed_point(np.array([d]), np.array([d_f]), 0.5, lambda i: (i, i)).condition
+    assert math.isfinite(c.min_margin) and math.isfinite(c.max_abs_margin)
+    assert (c.min_margin > 0.0) is (0.5 * d > d_f)
 
 
 def test_samplers_draw_from_their_fixed_ranges():

@@ -22,13 +22,13 @@ EXPORTS = {
     "gaussian_state_sampler", "interference_excess", "interference_excess_quadrature",
     "iterate_to_fixed_point", "overlap_closed_form", "overlap_quadrature",
     "overlap_quadrature_many", "real_line_sampler", "sample_state_pairs",
-    "state_distance", "verify_banach_bounds", "verify_uniqueness",
+    "state_distance", "verify_banach_bounds",
 }
 
 
 def test_package_exports_the_submodules_public_names():
-    # 42 distinct names, no more, no fewer
-    assert len(EXPORTS) == 42 and sorted(qfixpoint.__all__) == sorted(EXPORTS)
+    # 41 distinct names, no more, no fewer
+    assert len(EXPORTS) == 41 and sorted(qfixpoint.__all__) == sorted(EXPORTS)
     namespace = {}
     exec("from qfixpoint import *", namespace)
     for name in EXPORTS:

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from qfixpoint import solver
 from qfixpoint.compare import gaussian_state_sampler
 from qfixpoint.gaussian import GaussianState, state_distance
-from qfixpoint.solver import (DEFAULT_MAPS, DEFAULT_REGION, DEFAULT_STARTS,
-                              AffineGaussianMap, FixedPointReport, NotConvergedError,
-                              ParameterBox, analytic_fixed_point,
+from qfixpoint.solver import (DEFAULT_MAPS, DEFAULT_REGION, AffineGaussianMap,
+                              FixedPointReport, ParameterBox, analytic_fixed_point,
                               estimate_contraction_factor, iterate_to_fixed_point,
-                              verify_banach_bounds, verify_uniqueness)
+                              verify_banach_bounds)
 
 MAP_HALVING = AffineGaussianMap(0.5, 0.0, 0.5, 0.5)
 MAP_CONSTANT = AffineGaussianMap(0.0, 0.0, 0.0, 1.0)
@@ -376,8 +375,6 @@ def test_nan_tolerance_rejected():
     # NaN passes a `tolerance <= 0` check and would then burn the whole budget
     with pytest.raises(ValueError, match="tolerance must be positive"):
         iterate_to_fixed_point(MAP_HALVING, GaussianState(4, 3), tolerance=math.nan)
-    with pytest.raises(ValueError, match="tolerance must be positive"):
-        verify_uniqueness(MAP_HALVING, DEFAULT_STARTS, math.nan)
 
 
 # ------------------------------------------------------------- banach bounds
@@ -438,36 +435,3 @@ def test_contraction_survey_exit_code_follows_the_bounds(monkeypatch, capsys, k_
         runpy.run_path(str(SURVEY), run_name="__main__")
     assert exit_info.value.code == code
     assert ("FAIL" in capsys.readouterr().out) == bool(code)
-
-
-# --------------------------------------------------------------- uniqueness
-
-def test_uniqueness_default_family():
-    audit = verify_uniqueness(MAP_HALVING, DEFAULT_STARTS, 1e-12)
-    assert audit.passed
-    fp = analytic_fixed_point(MAP_HALVING)
-    for start in DEFAULT_STARTS:
-        report = iterate_to_fixed_point(MAP_HALVING, start)
-        assert state_distance(report.fixed_point, fp) < 1e-10
-
-
-def test_uniqueness_constant_map_exact():
-    audit = verify_uniqueness(MAP_CONSTANT, (GaussianState(5, 5), GaussianState(-5, 0.1)))
-    assert audit.passed
-    assert audit.checks[0].detail.startswith("max pairwise distance")
-
-
-def test_uniqueness_identical_starts_pass():
-    audit = verify_uniqueness(MAP_HALVING, (GaussianState(2, 2), GaussianState(2, 2)))
-    assert audit.passed
-
-
-def test_uniqueness_propagates_non_convergence():
-    slow = AffineGaussianMap(0.99999, 0.0, 0.5, 0.5)
-    with pytest.raises(NotConvergedError):
-        verify_uniqueness(slow, DEFAULT_STARTS, 1e-12, max_iterations=10)
-
-
-def test_uniqueness_needs_two_starts():
-    with pytest.raises(ValueError):
-        verify_uniqueness(MAP_HALVING, (GaussianState(1, 1),))
